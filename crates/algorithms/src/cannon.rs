@@ -16,9 +16,9 @@
 
 use pmm_dense::{block_range, gemm_acc, Kernel, Matrix};
 use pmm_model::MatMulDims;
-use pmm_simnet::{poll_now, Comm, Rank};
+use pmm_simnet::{Comm, Rank};
 
-/// Configuration for [`cannon`].
+/// Configuration for [`cannon_a`].
 #[derive(Debug, Clone)]
 pub struct CannonConfig {
     /// Problem dimensions.
@@ -29,7 +29,7 @@ pub struct CannonConfig {
     pub kernel: Kernel,
 }
 
-/// Per-rank result of [`cannon`].
+/// Per-rank result of [`cannon_a`].
 #[derive(Debug, Clone)]
 pub struct CannonOutput {
     /// This rank's `C` block (block `(i, j)` of the `q × q` partition).
@@ -56,11 +56,6 @@ fn owned_blocks(
 
 /// Run Cannon's algorithm. `a`/`b` are the global inputs, read only for
 /// this rank's owned blocks.
-pub fn cannon(rank: &mut Rank, cfg: &CannonConfig, a: &Matrix, b: &Matrix) -> CannonOutput {
-    poll_now(cannon_a(rank, cfg, a, b))
-}
-
-/// Async form of [`cannon`] (event-loop programs).
 pub async fn cannon_a(rank: &mut Rank, cfg: &CannonConfig, a: &Matrix, b: &Matrix) -> CannonOutput {
     let q = cfg.q;
     assert_eq!(rank.world_size(), q * q, "world size must be q²");
@@ -164,10 +159,10 @@ mod tests {
 
     fn run(dims: MatMulDims, q: usize) -> (Matrix, pmm_simnet::WorldResult<CannonOutput>) {
         let cfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 5);
             let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 6);
-            cannon(rank, &cfg, &a, &b)
+            cannon_a(rank, &cfg, &a, &b).await
         });
         let c = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
             out.values[i * q + j].c_block.clone()
@@ -230,7 +225,7 @@ mod tests {
     fn loses_to_alg1_grid_on_tall_skinny() {
         // Paper's 1D case: Cannon's square grid forces communication of the
         // big matrix; Alg1 with the optimal 1D grid only moves nk words.
-        use crate::grid3d::{alg1, Alg1Config};
+        use crate::grid3d::{alg1_a, Alg1Config};
         use pmm_core::gridopt::best_grid;
         use pmm_model::Grid3;
 
@@ -241,10 +236,10 @@ mod tests {
         let choice = best_grid(dims, 4);
         let grid = Grid3::from_dims(choice.grid);
         let cfg = Alg1Config::new(dims, grid);
-        let alg1_out = World::new(4, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let alg1_out = World::new(4, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(64, 16, -3..4, 5);
             let b = random_int_matrix(16, 16, -3..4, 6);
-            alg1(rank, &cfg, &a, &b)
+            alg1_a(rank, &cfg, &a, &b).await
         });
         assert!(
             alg1_out.critical_path_time() < cannon_out.critical_path_time(),

@@ -33,7 +33,7 @@ use pmm_collectives::{
 };
 use pmm_dense::{block_range, chunk_of_block, gemm, Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
-use pmm_simnet::{poll_now, Comm, Rank};
+use pmm_simnet::{Comm, Rank};
 
 use crate::common::{fiber_comms_on_a, flatten_block, PhaseMeter, PhaseProbe};
 
@@ -70,7 +70,7 @@ impl Alg1Config {
     }
 }
 
-/// Per-rank result of [`alg1`].
+/// Per-rank result of [`alg1_a`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Alg1Output {
     /// This rank's chunk of `C_{p1'p3'}` (a contiguous run of the block's
@@ -112,32 +112,16 @@ pub fn owned_c_range(dims: MatMulDims, grid: Grid3, coord: [usize; 3]) -> std::o
 /// Run Algorithm 1. `a` and `b` are the *global* inputs (available to the
 /// closure only as a convenient source of this rank's owned chunks — the
 /// algorithm reads nothing else from them).
-pub fn alg1(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Output {
-    poll_now(alg1_a(rank, cfg, a, b))
-}
-
-/// Async form of [`alg1`] (event-loop programs).
 pub async fn alg1_a(rank: &mut Rank, cfg: &Alg1Config, a: &Matrix, b: &Matrix) -> Alg1Output {
     let world = rank.world_comm();
     alg1_on_a(rank, &world, cfg, a, b).await
 }
 
-/// [`alg1`] generalized to an arbitrary base communicator (whose size
+/// [`alg1_a`] generalized to an arbitrary base communicator (whose size
 /// must equal the grid size): this rank's grid position is its index in
 /// `base`, and all three fiber communicators are split from `base`. This
 /// is the entry point failure recovery uses to re-run the multiplication
-/// on the surviving ranks — see [`crate::recovery::run_recoverable`].
-pub fn alg1_on(
-    rank: &mut Rank,
-    base: &Comm,
-    cfg: &Alg1Config,
-    a: &Matrix,
-    b: &Matrix,
-) -> Alg1Output {
-    poll_now(alg1_on_a(rank, base, cfg, a, b))
-}
-
-/// Async form of [`alg1_on`] (event-loop programs).
+/// on the surviving ranks — see [`crate::recovery::run_recoverable_a`].
 pub async fn alg1_on_a(
     rank: &mut Rank,
     base: &Comm,
@@ -327,10 +311,10 @@ mod tests {
     ) -> (Matrix, pmm_simnet::WorldResult<Alg1Output>) {
         let grid = Grid3::from_dims(grid);
         let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11);
             let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22);
-            alg1(rank, &cfg, &a, &b)
+            alg1_a(rank, &cfg, &a, &b).await
         });
         let chunks: Vec<Vec<f64>> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
         (assemble_c(dims, grid, &chunks), out)

@@ -21,7 +21,7 @@
 //!   recursive algorithm (Demmel et al. 2013), used as an analytic
 //!   baseline in the comparison experiments.
 //! * [`recovery`] — algorithm-agnostic checkpointed failure recovery
-//!   ([`recovery::run_recoverable`]) wrapping all six executable
+//!   ([`recovery::run_recoverable_a`]) wrapping all six executable
 //!   algorithms: checkpoint ring, typed rank-failure detection, re-plan
 //!   onto the survivors, redistribute, resume.
 //!
@@ -42,19 +42,13 @@ pub mod streamed;
 pub mod summa;
 pub mod twofived;
 
-pub use cannon::{cannon, cannon_a, cannon_on_a, CannonConfig, CannonOutput};
-pub use common::{
-    assemble_from_blocks, fiber_comms, fiber_comms_a, fiber_comms_on, fiber_comms_on_a, PhaseMeter,
-    PhaseProbe,
-};
-pub use grid3d::{alg1, alg1_a, alg1_on, alg1_on_a, assemble_c, Alg1Config, Alg1Output, Assembly};
+pub use cannon::{cannon_a, cannon_on_a, CannonConfig, CannonOutput};
+pub use common::{assemble_from_blocks, fiber_comms_a, fiber_comms_on_a, PhaseMeter, PhaseProbe};
+pub use grid3d::{alg1_a, alg1_on_a, assemble_c, Alg1Config, Alg1Output, Assembly};
 pub use recovery::{
-    assemble_recovered, plan_for, run_recoverable, run_recoverable_a, CShare, Recoverable,
-    Recovered,
+    assemble_recovered, plan_for, run_recoverable_a, CShare, Recoverable, Recovered,
 };
-pub use recursive::{carma, carma_a, carma_assemble_c, carma_cost_words, carma_shares};
-pub use streamed::{alg1_streamed, alg1_streamed_a, alg1_streamed_on_a};
-pub use summa::{
-    near_square_factors, summa, summa_a, summa_on, summa_on_a, SummaConfig, SummaOutput,
-};
-pub use twofived::{twofived, twofived_a, twofived_on_a, TwoFiveDConfig, TwoFiveDOutput};
+pub use recursive::{carma_a, carma_assemble_c, carma_cost_words, carma_shares};
+pub use streamed::{alg1_streamed_a, alg1_streamed_on_a};
+pub use summa::{near_square_factors, summa_a, summa_on_a, SummaConfig, SummaOutput};
+pub use twofived::{twofived_a, twofived_on_a, TwoFiveDConfig, TwoFiveDOutput};

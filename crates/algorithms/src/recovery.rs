@@ -1,6 +1,6 @@
 //! Algorithm-agnostic checkpointed failure recovery.
 //!
-//! [`run_recoverable`] wraps any of the six executable algorithms in the
+//! [`run_recoverable_a`] wraps any of the six executable algorithms in the
 //! same fault-tolerance protocol:
 //!
 //! 1. **Checkpoint / redistribute.** Each attempt opens with a ring
@@ -43,7 +43,7 @@
 use pmm_core::gridopt::best_grid;
 use pmm_dense::{Kernel, Matrix};
 use pmm_model::{AlgPlan, Grid3, MatMulDims};
-use pmm_simnet::{poll_now, Comm, Meter, Rank, RankFailed};
+use pmm_simnet::{Comm, Meter, Rank, RankFailed};
 
 use crate::cannon::{cannon_on_a, CannonConfig, CannonOutput};
 use crate::common::{assemble_from_blocks, flatten_block, PhaseProbe};
@@ -55,7 +55,7 @@ use crate::streamed::alg1_streamed_on_a;
 use crate::summa::{near_square_factors, summa_on_a, SummaConfig};
 use crate::twofived::{twofived_on_a, TwoFiveDConfig};
 
-/// Which algorithm a [`run_recoverable`] call wraps, with its
+/// Which algorithm a [`run_recoverable_a`] call wraps, with its
 /// per-algorithm knobs. The layout (grid shape, torus side, …) is *not*
 /// part of the spec: [`plan_for`] re-derives it for every attempt from
 /// the survivor count.
@@ -114,7 +114,7 @@ pub enum CShare {
     Flat(Option<Vec<f64>>),
 }
 
-/// Result of a successful [`run_recoverable`] call on one survivor.
+/// Result of a successful [`run_recoverable_a`] call on one survivor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovered {
     /// This rank's share of `C` under `plan` (positioned by this rank's
@@ -154,7 +154,7 @@ fn isqrt(p: usize) -> usize {
 }
 
 /// The layout an algorithm runs with on `p` survivors — the single
-/// policy both the execution ([`run_recoverable`]) and the prediction
+/// policy both the execution ([`run_recoverable_a`]) and the prediction
 /// (`pmm_model::recovery_prediction`) price.
 pub fn plan_for(spec: &Recoverable, dims: MatMulDims, p: usize) -> AlgPlan {
     assert!(p >= 1, "need at least one survivor");
@@ -344,17 +344,6 @@ async fn run_attempt_a(
 /// survivor once an attempt completes with no new deaths. Kills placed
 /// after the final attempt completes are not handled here — they surface
 /// wherever the program communicates next.
-pub fn run_recoverable(
-    rank: &mut Rank,
-    spec: &Recoverable,
-    dims: MatMulDims,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<Recovered, RankFailed> {
-    poll_now(run_recoverable_a(rank, spec, dims, a, b))
-}
-
-/// Async form of [`run_recoverable`] (event-loop programs).
 pub async fn run_recoverable_a(
     rank: &mut Rank,
     spec: &Recoverable,
@@ -559,9 +548,9 @@ mod tests {
                     continue; // CARMA splits need even dims at each level
                 }
                 let spec2 = spec.clone();
-                let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+                let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                     let (a, b) = inputs(dims);
-                    run_recoverable(rank, &spec2, dims, &a, &b).expect("no faults")
+                    run_recoverable_a(rank, &spec2, dims, &a, &b).await.expect("no faults")
                 });
                 let plan = out.values[0].plan.clone();
                 let shares: Vec<CShare> = out.values.iter().map(|v| v.share.clone()).collect();
@@ -585,9 +574,9 @@ mod tests {
             let spec2 = spec.clone();
             let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
                 .with_faults(FaultPlan::default().with_kill(2, 3))
-                .run(move |rank| {
+                .run(async move |rank| {
                     let (a, b) = inputs(dims);
-                    run_recoverable(rank, &spec2, dims, &a, &b)
+                    run_recoverable_a(rank, &spec2, dims, &a, &b).await
                 });
             let ok: Vec<&Recovered> = out.values.iter().filter_map(|r| r.as_ref().ok()).collect();
             assert_eq!(ok.len(), 4, "{spec:?}: survivors return Ok");
@@ -606,9 +595,9 @@ mod tests {
         for spec in all_specs() {
             let p = 4usize;
             let spec2 = spec.clone();
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let (a, b) = inputs(dims);
-                run_recoverable(rank, &spec2, dims, &a, &b).expect("no faults")
+                run_recoverable_a(rank, &spec2, dims, &a, &b).await.expect("no faults")
             });
             let restore: u64 = out.values.iter().map(|v| v.restore_meter.words_sent).sum();
             assert_eq!(restore as f64, restore_words_total(dims, p), "{spec:?}");

@@ -31,7 +31,7 @@
 
 use pmm_dense::{gemm, Kernel, Matrix};
 use pmm_model::MatMulDims;
-use pmm_simnet::{poll_now, Comm, LocalBoxFuture, Rank};
+use pmm_simnet::{Comm, LocalBoxFuture, Rank};
 
 /// Per-processor communication (words) of the recursive CARMA-style
 /// algorithm, unlimited memory. Panics unless `p` is a power of two.
@@ -127,20 +127,8 @@ pub fn carma_shares(p: usize, idx: usize, a: &Matrix, b: &Matrix) -> (Vec<f64>, 
 /// Run the executed CARMA recursion on communicator `comm` (its size must
 /// be a power of two). `a_share`/`b_share` are this rank's CARMA-layout
 /// shares (from [`carma_shares`]). Returns this rank's share of `C`
-/// (CARMA layout; reassemble with [`carma_assemble_c`]).
-pub fn carma(
-    rank: &mut Rank,
-    comm: &Comm,
-    dims: MatMulDims,
-    kernel: Kernel,
-    a_share: Vec<f64>,
-    b_share: Vec<f64>,
-) -> Vec<f64> {
-    poll_now(carma_a(rank, comm, dims, kernel, a_share, b_share))
-}
-
-/// Async form of [`carma`] (event-loop programs). Boxed because the
-/// recursion would otherwise make the future type infinitely sized.
+/// (CARMA layout; reassemble with [`carma_assemble_c`]). Boxed because
+/// the recursion would otherwise make the future type infinitely sized.
 pub fn carma_a<'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
@@ -243,7 +231,7 @@ pub fn carma_assemble_c(dims: MatMulDims, p: usize, shares: &[Vec<f64>]) -> Matr
 
 /// Recursively locate rank `idx`'s C share within the output. `(r0, c0)`
 /// is the global offset of the current `n1 × n3` sub-output. Mirrors the
-/// split rule of [`carma`] exactly, including how the final `C`
+/// split rule of [`carma_a`] exactly, including how the final `C`
 /// distribution halves flat at `n2` splits.
 #[allow(clippy::too_many_arguments)] // mirrors the recursion state one-to-one
 fn place_c(
@@ -433,12 +421,12 @@ mod tests {
         seed: u64,
     ) -> (Matrix, pmm_simnet::WorldResult<Vec<f64>>) {
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(n1, n2, -3..4, seed);
             let b = random_int_matrix(n2, n3, -3..4, seed + 1);
             let (a_share, b_share) = carma_shares(p, rank.world_rank(), &a, &b);
             let comm = rank.world_comm();
-            carma(rank, &comm, dims, Kernel::Naive, a_share, b_share)
+            carma_a(rank, &comm, dims, Kernel::Naive, a_share, b_share).await
         });
         let c = carma_assemble_c(dims, p, &out.values);
         (c, out)

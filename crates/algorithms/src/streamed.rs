@@ -18,7 +18,7 @@
 use pmm_collectives::{all_gather_v_a, reduce_scatter_v_a, AllGatherAlgo, ReduceScatterAlgo};
 use pmm_dense::{block_range, chunk_of_block, gemm_acc, Kernel, Matrix};
 use pmm_model::{Grid3, MatMulDims};
-use pmm_simnet::{poll_now, Comm, Rank};
+use pmm_simnet::{Comm, Rank};
 
 use crate::common::{fiber_comms_on_a, PhaseMeter, PhaseProbe};
 use crate::grid3d::Alg1Output;
@@ -26,21 +26,8 @@ use crate::grid3d::Alg1Output;
 /// Run the streamed Algorithm 1 with `slabs` inner-dimension slabs
 /// (`slabs = 1` is semantically plain Algorithm 1 modulo the input
 /// distribution). Returns the same output shape as
-/// [`alg1`](crate::grid3d::alg1) — chunks assemble with
+/// [`alg1_a`](crate::grid3d::alg1_a) — chunks assemble with
 /// [`assemble_c`](crate::grid3d::assemble_c).
-pub fn alg1_streamed(
-    rank: &mut Rank,
-    dims: MatMulDims,
-    grid: Grid3,
-    slabs: usize,
-    kernel: Kernel,
-    a: &Matrix,
-    b: &Matrix,
-) -> Alg1Output {
-    poll_now(alg1_streamed_a(rank, dims, grid, slabs, kernel, a, b))
-}
-
-/// Async form of [`alg1_streamed`] (event-loop programs).
 pub async fn alg1_streamed_a(
     rank: &mut Rank,
     dims: MatMulDims,
@@ -166,7 +153,7 @@ fn accumulate(into: &mut pmm_simnet::Meter, delta: pmm_simnet::Meter) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid3d::{alg1, assemble_c, Alg1Config};
+    use crate::grid3d::{alg1_a, assemble_c, Alg1Config};
     use pmm_dense::{gemm, random_int_matrix};
     use pmm_simnet::{MachineParams, World};
 
@@ -177,10 +164,10 @@ mod tests {
     ) -> (Matrix, pmm_simnet::WorldResult<Alg1Output>) {
         let g = Grid3::from_dims(grid);
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(n1, n2, -3..4, 71);
             let b = random_int_matrix(n2, n3, -3..4, 72);
-            alg1_streamed(rank, dims, g, slabs, Kernel::Naive, &a, &b)
+            alg1_streamed_a(rank, dims, g, slabs, Kernel::Naive, &a, &b).await
         });
         let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
         (assemble_c(dims, g, &chunks), out)
@@ -241,10 +228,10 @@ mod tests {
 
         let g = Grid3::from_dims(grid);
         let cfg = Alg1Config::new(dims, g);
-        let plain = World::new(8, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let plain = World::new(8, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(24, 24, -3..4, 71);
             let b = random_int_matrix(24, 24, -3..4, 72);
-            alg1(rank, &cfg, &a, &b)
+            alg1_a(rank, &cfg, &a, &b).await
         });
         for r in 0..8 {
             assert_eq!(

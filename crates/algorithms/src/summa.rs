@@ -18,11 +18,11 @@
 
 use pmm_dense::{block_range, gemm_acc, Kernel, Matrix};
 use pmm_model::MatMulDims;
-use pmm_simnet::{poll_now, Comm, Rank};
+use pmm_simnet::{Comm, Rank};
 
 use pmm_collectives::{bcast_a, BcastAlgo};
 
-/// Configuration for [`summa`].
+/// Configuration for [`summa_a`].
 #[derive(Debug, Clone)]
 pub struct SummaConfig {
     /// Problem dimensions.
@@ -35,7 +35,7 @@ pub struct SummaConfig {
     pub kernel: Kernel,
 }
 
-/// Per-rank result of [`summa`].
+/// Per-rank result of [`summa_a`].
 #[derive(Debug, Clone)]
 pub struct SummaOutput {
     /// This rank's `C` block (block `(i, j)` of the `pr × pc` partition).
@@ -54,32 +54,16 @@ fn lcm(a: usize, b: usize) -> usize {
 
 /// Run SUMMA. `a`/`b` are the global inputs, read only for this rank's
 /// owned panels.
-pub fn summa(rank: &mut Rank, cfg: &SummaConfig, a: &Matrix, b: &Matrix) -> SummaOutput {
-    poll_now(summa_a(rank, cfg, a, b))
-}
-
-/// Async form of [`summa`] (event-loop programs).
 pub async fn summa_a(rank: &mut Rank, cfg: &SummaConfig, a: &Matrix, b: &Matrix) -> SummaOutput {
     let world = rank.world_comm();
     summa_on_a(rank, &world, cfg, a, b).await
 }
 
-/// [`summa`] generalized to an arbitrary base communicator of size
+/// [`summa_a`] generalized to an arbitrary base communicator of size
 /// `pr·pc`: this rank's grid position is its index in `base`, and the
 /// row/column communicators are split from `base`. Failure recovery uses
 /// this to re-run SUMMA on the surviving ranks — see
-/// [`crate::recovery::run_recoverable`].
-pub fn summa_on(
-    rank: &mut Rank,
-    base: &Comm,
-    cfg: &SummaConfig,
-    a: &Matrix,
-    b: &Matrix,
-) -> SummaOutput {
-    poll_now(summa_on_a(rank, base, cfg, a, b))
-}
-
-/// Async form of [`summa_on`] (event-loop programs).
+/// [`crate::recovery::run_recoverable_a`].
 pub async fn summa_on_a(
     rank: &mut Rank,
     base: &Comm,
@@ -188,10 +172,10 @@ mod tests {
         pc: usize,
     ) -> (Matrix, pmm_simnet::WorldResult<SummaOutput>) {
         let cfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
-        let out = World::new(pr * pc, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(pr * pc, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 15);
             let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 16);
-            summa(rank, &cfg, &a, &b)
+            summa_a(rank, &cfg, &a, &b).await
         });
         let c = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, pr, pc, |i, j| {
             out.values[i * pc + j].c_block.clone()

@@ -21,9 +21,9 @@
 use pmm_collectives::{bcast_a, reduce_a, BcastAlgo, ReduceAlgo};
 use pmm_dense::{block_range, gemm_acc, Kernel, Matrix};
 use pmm_model::MatMulDims;
-use pmm_simnet::{poll_now, Comm, Rank};
+use pmm_simnet::{Comm, Rank};
 
-/// Configuration for [`twofived`].
+/// Configuration for [`twofived_a`].
 #[derive(Debug, Clone)]
 pub struct TwoFiveDConfig {
     /// Problem dimensions.
@@ -36,7 +36,7 @@ pub struct TwoFiveDConfig {
     pub kernel: Kernel,
 }
 
-/// Per-rank result of [`twofived`].
+/// Per-rank result of [`twofived_a`].
 #[derive(Debug, Clone)]
 pub struct TwoFiveDOutput {
     /// On layer 0: this rank's fully-summed `C` block; on other layers
@@ -46,11 +46,6 @@ pub struct TwoFiveDOutput {
 
 /// Run the 2.5D algorithm. `a`/`b` are the global inputs, read only by
 /// the layer-0 owner of each block.
-pub fn twofived(rank: &mut Rank, cfg: &TwoFiveDConfig, a: &Matrix, b: &Matrix) -> TwoFiveDOutput {
-    poll_now(twofived_a(rank, cfg, a, b))
-}
-
-/// Async form of [`twofived`] (event-loop programs).
 pub async fn twofived_a(
     rank: &mut Rank,
     cfg: &TwoFiveDConfig,
@@ -210,10 +205,10 @@ mod tests {
         c: usize,
     ) -> (Matrix, pmm_simnet::WorldResult<TwoFiveDOutput>) {
         let cfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
-        let out = World::new(c * q * q, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(c * q * q, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 25);
             let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 26);
-            twofived(rank, &cfg, &a, &b)
+            twofived_a(rank, &cfg, &a, &b).await
         });
         let cmat = assemble_from_blocks(dims.n1 as usize, dims.n3 as usize, q, q, |i, j| {
             out.values[i * q + j].c_block.clone().expect("layer 0 holds C")
@@ -265,14 +260,14 @@ mod tests {
         // The replicated version does q/c shift steps instead of q; at this
         // P the saving exceeds the replication + reduction overhead, the
         // memory-for-communication trade §6.2 discusses.
-        use crate::cannon::{cannon, CannonConfig};
+        use crate::cannon::{cannon_a, CannonConfig};
         let dims = MatMulDims::new(32, 32, 32);
         let (_, repl) = run(dims, 16, 4); // P = 1024
         let cfg = CannonConfig { dims, q: 32, kernel: Kernel::Naive };
-        let flat = World::new(1024, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let flat = World::new(1024, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(32, 32, -3..4, 25);
             let b = random_int_matrix(32, 32, -3..4, 26);
-            cannon(rank, &cfg, &a, &b)
+            cannon_a(rank, &cfg, &a, &b).await
         });
         assert!(
             repl.critical_path_time() < flat.critical_path_time(),
@@ -287,10 +282,10 @@ mod tests {
     fn rejects_c_not_dividing_q() {
         let dims = MatMulDims::new(8, 8, 8);
         let cfg = TwoFiveDConfig { dims, q: 3, c: 2, kernel: Kernel::Naive };
-        World::new(18, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        World::new(18, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(8, 8, -1..2, 1);
             let b = random_int_matrix(8, 8, -1..2, 2);
-            twofived(rank, &cfg, &a, &b);
+            twofived_a(rank, &cfg, &a, &b).await;
         });
     }
 }

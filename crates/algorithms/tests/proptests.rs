@@ -4,8 +4,8 @@
 //! on random instances.
 
 use pmm_algs::{
-    alg1, assemble_c, assemble_from_blocks, cannon, summa, Alg1Config, Assembly, CannonConfig,
-    SummaConfig,
+    alg1_a, assemble_c, assemble_from_blocks, cannon_a, summa_a, Alg1Config, Assembly,
+    CannonConfig, SummaConfig,
 };
 use pmm_core::gridopt::alg1_cost_words;
 use pmm_dense::{gemm, random_int_matrix, Kernel, Matrix};
@@ -34,10 +34,10 @@ proptest! {
         let assembly =
             if assembly_pick == 0 { Assembly::ReduceScatter } else { Assembly::AllToAllSum };
         let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly };
-        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(grid.size(), MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(n1 as usize, n2 as usize, -3..4, seed);
             let b = random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1);
-            alg1(rank, &cfg, &a, &b)
+            alg1_a(rank, &cfg, &a, &b).await
         });
         let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
         prop_assert_eq!(assemble_c(dims, grid, &chunks), reference(dims, seed));
@@ -63,10 +63,10 @@ proptest! {
         let cfg = Alg1Config::new(dims, g);
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
         prop_assume!(n1 * n2 * n3 <= 200_000); // keep local gemm cheap
-        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(n1, n2, -1..2, 1);
             let b = random_int_matrix(n2, n3, -1..2, 2);
-            alg1(rank, &cfg, &a, &b);
+            alg1_a(rank, &cfg, &a, &b).await;
             rank.time()
         });
         let want = alg1_cost_words(dims, grid);
@@ -85,10 +85,10 @@ proptest! {
         let want = reference(dims, seed);
 
         let ccfg = CannonConfig { dims, q, kernel: Kernel::Naive };
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(n1 as usize, n2 as usize, -3..4, seed);
             let b = random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1);
-            cannon(rank, &ccfg, &a, &b)
+            cannon_a(rank, &ccfg, &a, &b).await
         });
         let got = assemble_from_blocks(n1 as usize, n3 as usize, q, q, |i, j| {
             out.values[i * q + j].c_block.clone()
@@ -96,10 +96,10 @@ proptest! {
         prop_assert_eq!(&got, &want, "cannon q={}", q);
 
         let scfg = SummaConfig { dims, pr: q, pc: q, kernel: Kernel::Naive };
-        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(q * q, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(n1 as usize, n2 as usize, -3..4, seed);
             let b = random_int_matrix(n2 as usize, n3 as usize, -3..4, seed + 1);
-            summa(rank, &scfg, &a, &b)
+            summa_a(rank, &scfg, &a, &b).await
         });
         let got = assemble_from_blocks(n1 as usize, n3 as usize, q, q, |i, j| {
             out.values[i * q + j].c_block.clone()

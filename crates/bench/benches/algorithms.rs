@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmm_algs::{
-    alg1, alg1_streamed, cannon, carma, carma_shares, summa, Alg1Config, Assembly, CannonConfig,
-    SummaConfig,
+    alg1_a, alg1_streamed_a, cannon_a, carma_a, carma_shares, summa_a, Alg1Config, Assembly,
+    CannonConfig, SummaConfig,
 };
 use pmm_core::gridopt::best_grid;
 use pmm_dense::{random_matrix, Kernel, Matrix};
@@ -30,9 +30,9 @@ fn bench_algorithms(c: &mut Criterion) {
         let cfg = Alg1Config::new(dims, best_grid(dims, p).grid3());
         bench.iter(|| {
             let cfg = cfg.clone();
-            World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let (a, b) = inputs(dims);
-                black_box(alg1(rank, &cfg, &a, &b));
+                black_box(alg1_a(rank, &cfg, &a, &b).await);
             })
         })
     });
@@ -42,9 +42,9 @@ fn bench_algorithms(c: &mut Criterion) {
         cfg.assembly = Assembly::AllToAllSum;
         bench.iter(|| {
             let cfg = cfg.clone();
-            World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let (a, b) = inputs(dims);
-                black_box(alg1(rank, &cfg, &a, &b));
+                black_box(alg1_a(rank, &cfg, &a, &b).await);
             })
         })
     });
@@ -52,9 +52,9 @@ fn bench_algorithms(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("alg1_streamed_t4", p), |bench| {
         let grid = best_grid(dims, p).grid3();
         bench.iter(|| {
-            World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let (a, b) = inputs(dims);
-                black_box(alg1_streamed(rank, dims, grid, 4, Kernel::Tiled, &a, &b));
+                black_box(alg1_streamed_a(rank, dims, grid, 4, Kernel::Tiled, &a, &b).await);
             })
         })
     });
@@ -63,9 +63,9 @@ fn bench_algorithms(c: &mut Criterion) {
         let cfg = CannonConfig { dims, q: 4, kernel: Kernel::Tiled };
         bench.iter(|| {
             let cfg = cfg.clone();
-            World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let (a, b) = inputs(dims);
-                black_box(cannon(rank, &cfg, &a, &b));
+                black_box(cannon_a(rank, &cfg, &a, &b).await);
             })
         })
     });
@@ -74,20 +74,20 @@ fn bench_algorithms(c: &mut Criterion) {
         let cfg = SummaConfig { dims, pr: 4, pc: 4, kernel: Kernel::Tiled };
         bench.iter(|| {
             let cfg = cfg.clone();
-            World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let (a, b) = inputs(dims);
-                black_box(summa(rank, &cfg, &a, &b));
+                black_box(summa_a(rank, &cfg, &a, &b).await);
             })
         })
     });
 
     group.bench_function(BenchmarkId::new("carma", p), |bench| {
         bench.iter(|| {
-            World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let (a, b) = inputs(dims);
                 let (sa, sb) = carma_shares(p, rank.world_rank(), &a, &b);
                 let comm = rank.world_comm();
-                black_box(carma(rank, &comm, dims, Kernel::Tiled, sa, sb));
+                black_box(carma_a(rank, &comm, dims, Kernel::Tiled, sa, sb).await);
             })
         })
     });

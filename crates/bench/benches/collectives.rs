@@ -3,7 +3,7 @@
 //! ablation of DESIGN.md §7.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pmm_collectives::{all_gather, reduce_scatter, AllGatherAlgo, ReduceScatterAlgo};
+use pmm_collectives::{all_gather_a, reduce_scatter_a, AllGatherAlgo, ReduceScatterAlgo};
 use pmm_simnet::{MachineParams, World};
 use std::hint::black_box;
 
@@ -21,9 +21,9 @@ fn bench_all_gather(c: &mut Criterion) {
                     &0,
                     |bench, _| {
                         bench.iter(|| {
-                            World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+                            World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                                 let comm = rank.world_comm();
-                                black_box(all_gather(rank, &comm, &vec![1.0; w], algo));
+                                black_box(all_gather_a(rank, &comm, &vec![1.0; w], algo).await);
                             })
                         })
                     },
@@ -45,9 +45,9 @@ fn bench_reduce_scatter(c: &mut Criterion) {
         {
             group.bench_with_input(BenchmarkId::new(name, p), &p, |bench, _| {
                 bench.iter(|| {
-                    World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+                    World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                         let comm = rank.world_comm();
-                        black_box(reduce_scatter(rank, &comm, &vec![1.0; p * w], algo));
+                        black_box(reduce_scatter_a(rank, &comm, &vec![1.0; p * w], algo).await);
                     })
                 })
             });

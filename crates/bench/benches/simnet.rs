@@ -11,7 +11,9 @@ fn bench_world_spawn(c: &mut Criterion) {
     group.sample_size(20);
     for p in [2usize, 16, 64, 256] {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
-            b.iter(|| World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| rank.world_rank()))
+            b.iter(|| {
+                World::new(p, MachineParams::BANDWIDTH_ONLY).run(async |rank| rank.world_rank())
+            })
         });
     }
     group.finish();
@@ -24,15 +26,15 @@ fn bench_ping_pong(c: &mut Criterion) {
         group.throughput(Throughput::Elements(w as u64));
         group.bench_with_input(BenchmarkId::from_parameter(w), &w, |b, &w| {
             b.iter(|| {
-                World::new(2, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+                World::new(2, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                     let comm = rank.world_comm();
                     for _ in 0..10 {
                         if rank.world_rank() == 0 {
-                            rank.send(&comm, 1, &vec![1.0; w]);
-                            black_box(rank.recv(&comm, 1));
+                            rank.send_a(&comm, 1, &vec![1.0; w]).await;
+                            black_box(rank.recv_a(&comm, 1).await);
                         } else {
-                            let m = rank.recv(&comm, 0);
-                            rank.send(&comm, 0, &m.payload);
+                            let m = rank.recv_a(&comm, 0).await;
+                            rank.send_a(&comm, 0, &m.payload).await;
                         }
                     }
                 })
@@ -48,11 +50,14 @@ fn bench_exchange_ring(c: &mut Criterion) {
     for p in [4usize, 16, 64] {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
             b.iter(|| {
-                World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+                World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                     let comm = rank.world_comm();
                     let me = comm.index();
                     for _ in 0..10 {
-                        black_box(rank.exchange(&comm, (me + 1) % p, (me + p - 1) % p, &[1.0; 64]));
+                        black_box(
+                            rank.exchange_a(&comm, (me + 1) % p, (me + p - 1) % p, &[1.0; 64])
+                                .await,
+                        );
                     }
                 })
             })
@@ -67,10 +72,10 @@ fn bench_comm_split(c: &mut Criterion) {
     for p in [8usize, 64] {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
             b.iter(|| {
-                World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+                World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                     let world = rank.world_comm();
                     let color = (rank.world_rank() % 4) as i64;
-                    black_box(rank.split(&world, color, rank.world_rank() as i64));
+                    black_box(rank.split_a(&world, color, rank.world_rank() as i64).await);
                 })
             })
         });

@@ -12,8 +12,8 @@
 //! ```
 
 use pmm_algs::{
-    alg1, cannon, carma, carma_cost_words, carma_shares, summa, twofived, Alg1Config, CannonConfig,
-    SummaConfig, TwoFiveDConfig,
+    alg1_a, cannon_a, carma_a, carma_cost_words, carma_shares, summa_a, twofived_a, Alg1Config,
+    CannonConfig, SummaConfig, TwoFiveDConfig,
 };
 use pmm_bench::{fnum, print_table, Checks};
 use pmm_core::gridopt::best_grid;
@@ -33,9 +33,9 @@ fn run_alg1(dims: MatMulDims, p: usize) -> f64 {
     let choice = best_grid(dims, p);
     let cfg = Alg1Config::new(dims, choice.grid3());
     World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .run(move |rank| {
+        .run(async move |rank| {
             let (a, b) = inputs(dims, 50);
-            alg1(rank, &cfg, &a, &b);
+            alg1_a(rank, &cfg, &a, &b).await;
         })
         .critical_path_time()
 }
@@ -43,9 +43,9 @@ fn run_alg1(dims: MatMulDims, p: usize) -> f64 {
 fn run_cannon(dims: MatMulDims, q: usize) -> f64 {
     let cfg = CannonConfig { dims, q, kernel: Kernel::Naive };
     World::new(q * q, MachineParams::BANDWIDTH_ONLY)
-        .run(move |rank| {
+        .run(async move |rank| {
             let (a, b) = inputs(dims, 50);
-            cannon(rank, &cfg, &a, &b);
+            cannon_a(rank, &cfg, &a, &b).await;
         })
         .critical_path_time()
 }
@@ -53,9 +53,9 @@ fn run_cannon(dims: MatMulDims, q: usize) -> f64 {
 fn run_summa(dims: MatMulDims, pr: usize, pc: usize) -> f64 {
     let cfg = SummaConfig { dims, pr, pc, kernel: Kernel::Naive };
     World::new(pr * pc, MachineParams::BANDWIDTH_ONLY)
-        .run(move |rank| {
+        .run(async move |rank| {
             let (a, b) = inputs(dims, 50);
-            summa(rank, &cfg, &a, &b);
+            summa_a(rank, &cfg, &a, &b).await;
         })
         .critical_path_time()
 }
@@ -63,20 +63,20 @@ fn run_summa(dims: MatMulDims, pr: usize, pc: usize) -> f64 {
 fn run_25d(dims: MatMulDims, q: usize, c: usize) -> f64 {
     let cfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
     World::new(c * q * q, MachineParams::BANDWIDTH_ONLY)
-        .run(move |rank| {
+        .run(async move |rank| {
             let (a, b) = inputs(dims, 50);
-            twofived(rank, &cfg, &a, &b);
+            twofived_a(rank, &cfg, &a, &b).await;
         })
         .critical_path_time()
 }
 
 fn run_carma_exec(dims: MatMulDims, p: usize) -> f64 {
     World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .run(move |rank| {
+        .run(async move |rank| {
             let (a, b) = inputs(dims, 50);
             let (sa, sb) = carma_shares(p, rank.world_rank(), &a, &b);
             let comm = rank.world_comm();
-            carma(rank, &comm, dims, Kernel::Naive, sa, sb);
+            carma_a(rank, &comm, dims, Kernel::Naive, sa, sb).await;
         })
         .critical_path_time()
 }

@@ -14,8 +14,8 @@
 
 use pmm_bench::{fnum, print_table, Checks};
 use pmm_collectives::{
-    all_gather, all_reduce, all_to_all, bcast, costs, reduce_scatter, AllGatherAlgo, AllReduceAlgo,
-    AllToAllAlgo, BcastAlgo, ReduceScatterAlgo,
+    all_gather_a, all_reduce_a, all_to_all_a, bcast_a, costs, reduce_scatter_a, AllGatherAlgo,
+    AllReduceAlgo, AllToAllAlgo, BcastAlgo, ReduceScatterAlgo,
 };
 use pmm_simnet::{MachineParams, World};
 
@@ -37,9 +37,9 @@ fn main() {
             if matches!(algo, AllGatherAlgo::RecursiveDoubling) && !p.is_power_of_two() {
                 continue;
             }
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let comm = rank.world_comm();
-                all_gather(rank, &comm, &vec![1.0; w], algo);
+                all_gather_a(rank, &comm, &vec![1.0; w], algo).await;
                 rank.time()
             });
             let measured = out.critical_path_time();
@@ -54,9 +54,9 @@ fn main() {
         }
 
         // Reduce-Scatter.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            reduce_scatter(rank, &comm, &vec![1.0; p * w], ReduceScatterAlgo::Auto);
+            reduce_scatter_a(rank, &comm, &vec![1.0; p * w], ReduceScatterAlgo::Auto).await;
             rank.time()
         });
         let measured = out.critical_path_time();
@@ -68,9 +68,10 @@ fn main() {
         rows.push(vec!["reduce-scatter/auto".into(), p.to_string(), fnum(measured), fnum(optimal)]);
 
         // All-Reduce (Rabenseifner): optimal 2(1 − 1/p)·w.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            all_reduce(rank, &comm, &vec![1.0; p * w], AllReduceAlgo::ReduceScatterAllGather);
+            all_reduce_a(rank, &comm, &vec![1.0; p * w], AllReduceAlgo::ReduceScatterAllGather)
+                .await;
             rank.time()
         });
         let measured = out.critical_path_time();
@@ -79,9 +80,9 @@ fn main() {
         rows.push(vec!["all-reduce/rsag".into(), p.to_string(), fnum(measured), fnum(optimal)]);
 
         // All-to-All (pairwise): (p−1)·w.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            all_to_all(rank, &comm, &vec![1.0; p * w], AllToAllAlgo::Pairwise);
+            all_to_all_a(rank, &comm, &vec![1.0; p * w], AllToAllAlgo::Pairwise).await;
             rank.time()
         });
         let measured = out.critical_path_time();
@@ -97,16 +98,16 @@ fn main() {
     let mut rows = Vec::new();
     for p in [4usize, 8, 16, 32] {
         let ring = World::new(p, params)
-            .run(move |rank| {
+            .run(async move |rank| {
                 let comm = rank.world_comm();
-                all_gather(rank, &comm, &[1.0; 4], AllGatherAlgo::Ring);
+                all_gather_a(rank, &comm, &[1.0; 4], AllGatherAlgo::Ring).await;
                 rank.time()
             })
             .critical_path_time();
         let rd = World::new(p, params)
-            .run(move |rank| {
+            .run(async move |rank| {
                 let comm = rank.world_comm();
-                all_gather(rank, &comm, &[1.0; 4], AllGatherAlgo::RecursiveDoubling);
+                all_gather_a(rank, &comm, &[1.0; 4], AllGatherAlgo::RecursiveDoubling).await;
                 rank.time()
             })
             .critical_path_time();
@@ -123,9 +124,9 @@ fn main() {
         let w = 160usize;
         let run = |algo: BcastAlgo| {
             World::new(p, MachineParams::BANDWIDTH_ONLY)
-                .run(move |rank| {
+                .run(async move |rank| {
                     let comm = rank.world_comm();
-                    bcast(rank, &comm, &vec![1.0; w], 0, algo);
+                    bcast_a(rank, &comm, &vec![1.0; w], 0, algo).await;
                 })
                 .critical_path_time()
         };

@@ -14,7 +14,7 @@
 //! cargo run --release -p pmm-bench --bin eq3_check
 //! ```
 
-use pmm_algs::{alg1, Alg1Config};
+use pmm_algs::{alg1_a, Alg1Config};
 use pmm_bench::{fnum, print_table, Checks};
 use pmm_core::gridopt::alg1_cost_words;
 use pmm_dense::random_int_matrix;
@@ -39,10 +39,10 @@ fn main() {
             let predicted = alg1_cost_words(dims, grid);
             let g = Grid3::from_dims(grid);
             let cfg = Alg1Config::new(dims, g);
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let a = random_int_matrix(96, 48, -2..3, 3);
                 let b = random_int_matrix(48, 24, -2..3, 4);
-                alg1(rank, &cfg, &a, &b)
+                alg1_a(rank, &cfg, &a, &b).await
             });
             let measured = out.critical_path_time();
             let exact = (measured - predicted).abs() < 1e-9;

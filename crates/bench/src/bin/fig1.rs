@@ -14,7 +14,7 @@
 
 use std::collections::BTreeSet;
 
-use pmm_algs::{alg1, Alg1Config};
+use pmm_algs::{alg1_a, Alg1Config};
 use pmm_bench::{print_table, Checks};
 use pmm_dense::random_int_matrix;
 use pmm_model::{Grid3, MatMulDims};
@@ -32,11 +32,12 @@ fn main() {
 
     let cfg = Alg1Config::new(dims, grid);
     let nn = n as usize;
-    let out = World::new(27, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(move |rank| {
-        let a = random_int_matrix(nn, nn, -2..3, 31);
-        let b = random_int_matrix(nn, nn, -2..3, 32);
-        alg1(rank, &cfg, &a, &b)
-    });
+    let out =
+        World::new(27, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(async move |rank| {
+            let a = random_int_matrix(nn, nn, -2..3, 31);
+            let b = random_int_matrix(nn, nn, -2..3, 32);
+            alg1_a(rank, &cfg, &a, &b).await
+        });
 
     let mut checks = Checks::new();
 

@@ -12,7 +12,7 @@
 //! cargo run --release -p pmm-bench --bin fig2
 //! ```
 
-use pmm_algs::{alg1, Alg1Config};
+use pmm_algs::{alg1_a, Alg1Config};
 use pmm_bench::{fnum, print_table, Checks};
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
@@ -97,11 +97,9 @@ fn main() {
     for p in [3usize, 36, 512] {
         let choice = best_grid(small, p);
         let cfg = Alg1Config::new(small, choice.grid3());
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-            let a = random_int_matrix(768, 192, -2..3, 1);
-            let b = random_int_matrix(192, 48, -2..3, 2);
-            alg1(rank, &cfg, &a, &b)
-        });
+        let (a, b) = (random_int_matrix(768, 192, -2..3, 1), random_int_matrix(192, 48, -2..3, 2));
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
+            .run(async |rank| alg1_a(rank, &cfg, &a, &b).await);
         // Traffic attributed per phase, max over ranks (balanced anyway).
         let mut per_phase = [0u64; 3];
         for v in &out.values {

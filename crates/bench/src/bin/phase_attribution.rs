@@ -19,7 +19,7 @@
 //! cargo run --release -p pmm-bench --bin phase_attribution
 //! ```
 
-use pmm_algs::{alg1, Alg1Config};
+use pmm_algs::{alg1_a, Alg1Config};
 use pmm_bench::{fnum, print_table, Checks};
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::lower_bound;
@@ -41,11 +41,12 @@ fn main() {
 
         let cfg = Alg1Config::new(dims, g);
         let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(move |rank| {
-            let a = random_int_matrix(n1, n2, -2..3, 7);
-            let b = random_int_matrix(n2, n3, -2..3, 8);
-            alg1(rank, &cfg, &a, &b)
-        });
+        let out =
+            World::new(p, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(async move |rank| {
+                let a = random_int_matrix(n1, n2, -2..3, 7);
+                let b = random_int_matrix(n2, n3, -2..3, 8);
+                alg1_a(rank, &cfg, &a, &b).await
+            });
         let tracer = out.tracer().expect("tracing was on");
         let pred = alg1_prediction(dims, grid);
         let expected = [

@@ -11,7 +11,7 @@
 //! cargo run --release -p pmm-bench --bin strong_scaling
 //! ```
 
-use pmm_algs::{alg1, Alg1Config};
+use pmm_algs::{alg1_a, Alg1Config};
 use pmm_bench::{fnum, print_table, Checks};
 use pmm_core::gridopt::{alg1_cost_words, best_divisible_grid};
 use pmm_core::theorem3::lower_bound;
@@ -37,11 +37,9 @@ fn main() {
         let measured: Option<f64> = if p <= 512 {
             let cfg = Alg1Config::new(dims, choice.grid3());
             let nn = n as usize;
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
-                let a = random_int_matrix(nn, nn, -2..3, 7);
-                let b = random_int_matrix(nn, nn, -2..3, 8);
-                alg1(rank, &cfg, &a, &b)
-            });
+            let (a, b) = (random_int_matrix(nn, nn, -2..3, 7), random_int_matrix(nn, nn, -2..3, 8));
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
+                .run(async |rank| alg1_a(rank, &cfg, &a, &b).await);
             Some(out.critical_path_time())
         } else {
             None

@@ -10,7 +10,7 @@
 //! cargo run --release -p pmm-bench --bin tightness
 //! ```
 
-use pmm_algs::{alg1, assemble_c, Alg1Config};
+use pmm_algs::{alg1_a, assemble_c, Alg1Config};
 use pmm_bench::{fnum, print_table, Checks};
 use pmm_core::gridopt::best_grid;
 use pmm_core::theorem3::{corollary4, lower_bound};
@@ -22,10 +22,10 @@ fn measure(dims: MatMulDims, grid: [usize; 3], checks: &mut Checks) -> f64 {
     let g = Grid3::from_dims(grid);
     let cfg = Alg1Config::new(dims, g);
     let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+    let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
         let a = random_int_matrix(n1, n2, -2..3, 7);
         let b = random_int_matrix(n2, n3, -2..3, 8);
-        alg1(rank, &cfg, &a, &b)
+        alg1_a(rank, &cfg, &a, &b).await
     });
     // Verify numerical correctness too — tight *and* right.
     let a = random_int_matrix(n1, n2, -2..3, 7);

@@ -9,7 +9,7 @@
 //! cargo run --release -p pmm-bench --bin tradeoff_25d
 //! ```
 
-use pmm_algs::{twofived, TwoFiveDConfig};
+use pmm_algs::{twofived_a, TwoFiveDConfig};
 use pmm_bench::{fnum, print_table, Checks};
 use pmm_core::theorem3::lower_bound;
 use pmm_dense::{random_int_matrix, Kernel};
@@ -37,10 +37,10 @@ fn main() {
         for (q, c) in configs {
             assert_eq!(c * q * q, p);
             let cfg = TwoFiveDConfig { dims, q, c, kernel: Kernel::Naive };
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let a = random_int_matrix(64, 64, -2..3, 1);
                 let b = random_int_matrix(64, 64, -2..3, 2);
-                twofived(rank, &cfg, &a, &b)
+                twofived_a(rank, &cfg, &a, &b).await
             });
             let words = out.critical_path_time();
             let mem = out.max_peak_mem_words() as f64;

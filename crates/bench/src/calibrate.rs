@@ -32,7 +32,6 @@
 //! report fit quality alongside the constants.
 
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 use pmm_algs::{alg1_a, Alg1Config};
@@ -100,7 +99,7 @@ fn timed(trials: usize, reps: usize, mut f: impl FnMut()) -> f64 {
 pub fn empty_world_probe(trials: usize) -> f64 {
     timed(trials, 1, || {
         let world = World::new(2, MachineParams::BANDWIDTH_ONLY);
-        let out = world.run_async(|_rank| Box::pin(async {}));
+        let out = world.run(async |_rank| {});
         black_box(out.values.len());
     })
 }
@@ -111,22 +110,20 @@ pub fn empty_world_probe(trials: usize) -> f64 {
 pub fn pingpong_probe(words: usize, rounds: usize, world_secs: f64) -> f64 {
     let secs = timed(3, 1, || {
         let world = World::new(2, MachineParams::BANDWIDTH_ONLY);
-        let out = world.run_async(|rank| {
-            Box::pin(async move {
-                let comm = rank.world_comm();
-                let payload = vec![1.0f64; words];
-                let mut acc = 0.0;
-                for _ in 0..rounds {
-                    if comm.index() == 0 {
-                        rank.send_a(&comm, 1, &payload).await;
-                        acc += rank.recv_a(&comm, 1).await.payload[0];
-                    } else {
-                        acc += rank.recv_a(&comm, 0).await.payload[0];
-                        rank.send_a(&comm, 0, &payload).await;
-                    }
+        let out = world.run(async |rank| {
+            let comm = rank.world_comm();
+            let payload = vec![1.0f64; words];
+            let mut acc = 0.0;
+            for _ in 0..rounds {
+                if comm.index() == 0 {
+                    rank.send_a(&comm, 1, &payload).await;
+                    acc += rank.recv_a(&comm, 1).await.payload[0];
+                } else {
+                    acc += rank.recv_a(&comm, 0).await.payload[0];
+                    rank.send_a(&comm, 0, &payload).await;
                 }
-                acc
-            })
+            }
+            acc
         });
         black_box(out.values[0]);
     });
@@ -183,24 +180,21 @@ pub struct CellRun {
 /// Run Algorithm 1 on `dims` over `grid` in a simnet world and return
 /// the best wall time plus the run's meter totals.
 ///
-/// Inputs are generated once outside the timed region and shared across
-/// ranks via `Arc`, so the wall clock prices only the run itself. The
+/// Inputs are generated once outside the timed region and shared by
+/// every rank program, so the wall clock prices only the run itself. The
 /// event-loop simulator is single-threaded, so meters *summed over
 /// ranks* (not critical-path maxima) are the right predictor basis.
 pub fn alg1_cell_run(dims: MatMulDims, grid: [usize; 3], kernel: Kernel, reps: usize) -> CellRun {
     let p: usize = grid.iter().product();
-    let a = Arc::new(random_matrix(dims.n1 as usize, dims.n2 as usize, 11));
-    let b = Arc::new(random_matrix(dims.n2 as usize, dims.n3 as usize, 13));
+    let a = random_matrix(dims.n1 as usize, dims.n2 as usize, 11);
+    let b = random_matrix(dims.n2 as usize, dims.n3 as usize, 13);
     let mut cfg = Alg1Config::new(dims, Grid3::from_dims(grid));
     cfg.kernel = kernel;
-    let cfg = Arc::new(cfg);
     let mut run = CellRun { wall_secs: f64::INFINITY, msgs: 0.0, words: 0.0, flops: 0.0 };
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run_async(|rank| {
-            let (cfg, a, b) = (Arc::clone(&cfg), Arc::clone(&a), Arc::clone(&b));
-            Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
-        });
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
+            .run(async |rank| alg1_a(rank, &cfg, &a, &b).await);
         run.wall_secs = run.wall_secs.min(t0.elapsed().as_secs_f64());
         run.msgs = 0.0;
         run.words = 0.0;

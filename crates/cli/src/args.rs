@@ -6,7 +6,7 @@
 use std::fmt;
 
 use pmm_model::MatMulDims;
-use pmm_simnet::{Engine, FaultPlan};
+use pmm_simnet::FaultPlan;
 
 /// A fully parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,14 +25,13 @@ pub enum Command {
         gamma: f64,
     },
     /// `pmm simulate --dims AxBxC --procs P [--grid AxBxC] [--seed S]
-    /// [--faults SPEC] [--engine E]`
+    /// [--faults SPEC]`
     Simulate {
         dims: MatMulDims,
         procs: usize,
         grid: Option<[usize; 3]>,
         seed: u64,
         faults: Option<FaultPlan>,
-        engine: Option<Engine>,
     },
     /// `pmm trace --dims AxBxC --procs P [--grid AxBxC] [--seed S]
     /// [--out FILE]`
@@ -157,6 +156,27 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// `--procs P`: a processor count of at least 1.
+fn parse_procs(flags: &Flags) -> Result<usize, ParseError> {
+    match flags.require("procs")?.parse::<usize>() {
+        Ok(p) if p >= 1 => Ok(p),
+        _ => Err(err("--procs expects a positive integer")),
+    }
+}
+
+/// `--grid AxBxC`, which must have exactly `procs` processors.
+fn parse_grid_for(flags: &Flags, procs: usize) -> Result<Option<[usize; 3]>, ParseError> {
+    let Some(spec) = flags.get("grid") else { return Ok(None) };
+    let grid = parse_grid(spec)?;
+    let size = grid.iter().try_fold(1usize, |acc, &g| acc.checked_mul(g));
+    if size != Some(procs) {
+        return Err(err(format!(
+            "--grid {spec} does not have --procs {procs} processors (p1·p2·p3 must equal P)"
+        )));
+    }
+    Ok(Some(grid))
+}
+
 fn parse_opt_int<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, ParseError> {
     match flags.get(name) {
         None => Ok(None),
@@ -188,29 +208,27 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
         "bound" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs", "memory"])?;
+            let procs = parse_f64(&flags, "procs", None)?
+                .ok_or_else(|| err("missing required flag --procs"))?;
+            if !(procs >= 1.0 && procs.is_finite()) {
+                return Err(err("--procs expects a number >= 1"));
+            }
             Ok(Command::Bound {
                 dims: parse_dims(flags.require("dims")?)?,
-                procs: parse_f64(&flags, "procs", None)?
-                    .ok_or_else(|| err("missing required flag --procs"))?,
+                procs,
                 memory: parse_f64(&flags, "memory", None)?,
             })
         }
         "grid" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs"])?;
-            let procs = flags
-                .require("procs")?
-                .parse::<usize>()
-                .map_err(|_| err("--procs expects a positive integer"))?;
+            let procs = parse_procs(&flags)?;
             Ok(Command::Grid { dims: parse_dims(flags.require("dims")?)?, procs })
         }
         "advise" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs", "memory", "alpha", "beta", "gamma"])?;
-            let procs = flags
-                .require("procs")?
-                .parse::<usize>()
-                .map_err(|_| err("--procs expects a positive integer"))?;
+            let procs = parse_procs(&flags)?;
             Ok(Command::Advise {
                 dims: parse_dims(flags.require("dims")?)?,
                 procs,
@@ -225,12 +243,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
         }
         "simulate" => {
             let flags = Flags::parse(rest)?;
-            flags.reject_unknown(&["dims", "procs", "grid", "seed", "faults", "engine"])?;
-            let procs = flags
-                .require("procs")?
-                .parse::<usize>()
-                .map_err(|_| err("--procs expects a positive integer"))?;
-            let grid = flags.get("grid").map(parse_grid).transpose()?;
+            flags.reject_unknown(&["dims", "procs", "grid", "seed", "faults"])?;
+            let procs = parse_procs(&flags)?;
+            let grid = parse_grid_for(&flags, procs)?;
             let seed = match flags.get("seed") {
                 None => 42,
                 Some(v) => v.parse::<u64>().map_err(|_| err("--seed expects an integer"))?,
@@ -239,27 +254,19 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                 .get("faults")
                 .map(|s| FaultPlan::parse(s).map_err(|e| err(format!("--faults: {e}"))))
                 .transpose()?;
-            let engine = flags
-                .get("engine")
-                .map(|s| s.parse::<Engine>().map_err(|e| err(format!("--engine: {e}"))))
-                .transpose()?;
             Ok(Command::Simulate {
                 dims: parse_dims(flags.require("dims")?)?,
                 procs,
                 grid,
                 seed,
                 faults,
-                engine,
             })
         }
         "trace" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs", "grid", "seed", "out"])?;
-            let procs = flags
-                .require("procs")?
-                .parse::<usize>()
-                .map_err(|_| err("--procs expects a positive integer"))?;
-            let grid = flags.get("grid").map(parse_grid).transpose()?;
+            let procs = parse_procs(&flags)?;
+            let grid = parse_grid_for(&flags, procs)?;
             let seed = match flags.get("seed") {
                 None => 42,
                 Some(v) => v.parse::<u64>().map_err(|_| err("--seed expects an integer"))?,
@@ -278,9 +285,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
             let procs: Vec<f64> = flags
                 .require("procs")?
                 .split(',')
-                .map(|s| {
-                    s.parse::<f64>()
-                        .map_err(|_| err(format!("bad processor count '{s}' in --procs list")))
+                .map(|s| match s.parse::<f64>() {
+                    Ok(p) if p >= 1.0 && p.is_finite() => Ok(p),
+                    _ => Err(err(format!("bad processor count '{s}' in --procs list"))),
                 })
                 .collect::<Result<_, _>>()?;
             if procs.is_empty() {
@@ -288,6 +295,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
             }
             Ok(Command::Sweep { dims: parse_dims(flags.require("dims")?)?, procs })
         }
+        "serve" if rest.iter().any(|a| a == "--help" || a == "-h") => Ok(Command::Help),
         "serve" => {
             // `--oneshot` is the one valueless flag in the CLI; strip it
             // before the pairwise flag parser sees the rest.
@@ -350,12 +358,9 @@ USAGE:
                [--alpha A] [--beta B] [--gamma G]
       Rank execution strategies by predicted time on an α-β-γ machine.
   pmm simulate --dims N1xN2xN3 --procs P [--grid AxBxC] [--seed S]
-               [--faults SPEC] [--engine E]
+               [--faults SPEC]
       Run Algorithm 1 on the simulated machine, verify the product, and
-      report measured communication vs the bound. --engine picks the
-      execution backend: 'event-loop' (default — single-threaded rank
-      continuations; executes P up to 10^5-10^6 for real) or 'threads'
-      (one OS thread per rank); PMM_ENGINE sets the default. --faults
+      report measured communication vs the bound. --faults
       injects seeded message faults and rank failures (recovered by
       checkpointed re-planning onto the optimal grid of the survivors);
       SPEC is comma-separated key=value pairs: drop/dup/corrupt/delay
@@ -439,26 +444,8 @@ mod tests {
                 grid: Some([4, 1, 1]),
                 seed: 7,
                 faults: None,
-                engine: None,
             }
         );
-    }
-
-    #[test]
-    fn parses_simulate_engine() {
-        for (spec, want) in [
-            ("event-loop", Engine::EventLoop),
-            ("eventloop", Engine::EventLoop),
-            ("threads", Engine::Threads),
-        ] {
-            let c = parse_args(&argv(&format!("simulate --dims 8x8x8 --procs 2 --engine {spec}")))
-                .unwrap();
-            match c {
-                Command::Simulate { engine, .. } => assert_eq!(engine, Some(want), "{spec}"),
-                other => panic!("wrong parse: {other:?}"),
-            }
-        }
-        assert!(parse_args(&argv("simulate --dims 8x8x8 --procs 2 --engine fibers")).is_err());
     }
 
     #[test]
@@ -599,6 +586,31 @@ mod tests {
         assert!(parse_args(&argv("bound --dims 10x10x10 --procs 4 --bogus 1")).is_err());
         assert!(parse_args(&argv("grid --dims 10x10x10 --procs 4.5")).is_err());
         assert!(parse_args(&argv("sweep --dims 10x10x10 --procs 1,x")).is_err());
+    }
+
+    #[test]
+    fn zero_processors_is_a_parse_error() {
+        for cmd in ["bound", "grid", "advise", "simulate", "trace", "sweep"] {
+            let e = parse_args(&argv(&format!("{cmd} --dims 8x8x8 --procs 0")));
+            assert!(e.is_err(), "{cmd} --procs 0 must be rejected, got {e:?}");
+        }
+        assert!(parse_args(&argv("sweep --dims 8x8x8 --procs 4,0,16")).is_err());
+    }
+
+    #[test]
+    fn grid_that_does_not_match_procs_is_a_parse_error() {
+        for cmd in ["simulate", "trace"] {
+            let e = parse_args(&argv(&format!("{cmd} --dims 8x8x8 --procs 4 --grid 2x2x2")))
+                .expect_err("a 2x2x2 grid has 8 processors, not 4");
+            assert!(e.0.contains("--grid 2x2x2"), "{e}");
+        }
+    }
+
+    #[test]
+    fn serve_help_prints_help() {
+        assert_eq!(parse_args(&argv("serve --help")).unwrap(), Command::Help);
+        assert_eq!(parse_args(&argv("serve -h")).unwrap(), Command::Help);
+        assert_eq!(parse_args(&argv("serve --port 7070 --help")).unwrap(), Command::Help);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use pmm_algs::{
-    alg1, alg1_a, assemble_c, assemble_recovered, run_recoverable_a, Alg1Config, Assembly, CShare,
+    alg1_a, assemble_c, assemble_recovered, run_recoverable_a, Alg1Config, Assembly, CShare,
     Recoverable,
 };
 use pmm_bench::calibrate::calibrate as run_probes;
@@ -15,7 +15,7 @@ use pmm_core::theorem3::lower_bound;
 use pmm_dense::{gemm, kernel_from_env, random_int_matrix, Kernel};
 use pmm_model::{alg1_prediction, recovery_prediction, Grid3, MachineParams, MatMulDims};
 use pmm_serve::ServeConfig;
-use pmm_simnet::{seed_from_env, Engine, FaultPlan, World};
+use pmm_simnet::{seed_from_env, FaultPlan, World};
 
 use crate::args::ServeOpts;
 
@@ -136,32 +136,27 @@ pub fn advise(
 /// `pmm simulate` (fault-free form): output only, for callers that don't
 /// care about the process exit code.
 pub fn simulate(dims: MatMulDims, procs: usize, grid: Option<[usize; 3]>, seed: u64) -> String {
-    simulate_run(dims, procs, grid, seed, None, None).0
+    simulate_run(dims, procs, grid, seed, None).0
 }
 
 /// `pmm simulate`, full form: returns the report and the process exit
 /// code (`0` = product verified, `1` = wrong product or a fault the run
-/// could not recover from). `engine` pins the execution backend
-/// (`--engine`); `None` defers to `PMM_ENGINE`, then the event loop.
+/// could not recover from).
+///
+/// # Panics
+///
+/// If `grid` does not have exactly `procs` processors (the argument
+/// parser rejects such input).
 pub fn simulate_run(
     dims: MatMulDims,
     procs: usize,
     grid: Option<[usize; 3]>,
     seed: u64,
     faults: Option<FaultPlan>,
-    engine: Option<Engine>,
 ) -> (String, u8) {
     match faults {
-        None => simulate_clean(dims, procs, grid, seed, engine),
-        Some(plan) => simulate_faulty(dims, procs, seed, plan, engine),
-    }
-}
-
-/// Apply an explicit `--engine` choice to a world, if any.
-fn with_engine_opt(world: World, engine: Option<Engine>) -> World {
-    match engine {
-        Some(e) => world.with_engine(e),
-        None => world,
+        None => simulate_clean(dims, procs, grid, seed),
+        Some(plan) => simulate_faulty(dims, procs, seed, plan),
     }
 }
 
@@ -170,7 +165,6 @@ fn simulate_clean(
     procs: usize,
     grid: Option<[usize; 3]>,
     seed: u64,
-    engine: Option<Engine>,
 ) -> (String, u8) {
     let grid = grid.unwrap_or_else(|| best_grid(dims, procs).grid);
     let g = Grid3::from_dims(grid);
@@ -180,18 +174,12 @@ fn simulate_clean(
     // The data seed also seeds the schedule (overridable via PMM_SEED),
     // so a reported run replays rank interleaving and all.
     let sched_seed = seed_from_env(seed);
-    let world = with_engine_opt(
-        World::new(procs, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed),
-        engine,
-    );
-    let out = world.run_async(move |rank| {
-        let cfg = cfg.clone();
-        Box::pin(async move {
+    let out =
+        World::new(procs, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).run(async |rank| {
             let a = random_int_matrix(n1, n2, -3..4, seed);
             let b = random_int_matrix(n2, n3, -3..4, seed + 1);
             alg1_a(rank, &cfg, &a, &b).await
-        })
-    });
+        });
     let a = random_int_matrix(n1, n2, -3..4, seed);
     let b = random_int_matrix(n2, n3, -3..4, seed + 1);
     let want = gemm(&a, &b, kernel_from_env(Kernel::default()));
@@ -217,36 +205,25 @@ fn simulate_clean(
     (s, u8::from(!correct))
 }
 
-fn simulate_faulty(
-    dims: MatMulDims,
-    procs: usize,
-    seed: u64,
-    plan: FaultPlan,
-    engine: Option<Engine>,
-) -> (String, u8) {
+fn simulate_faulty(dims: MatMulDims, procs: usize, seed: u64, plan: FaultPlan) -> (String, u8) {
     let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
     let sched_seed = seed_from_env(seed);
     // Recovery re-picks the §5.2 grid per attempt from the survivor
     // count, so no --grid applies here. An unrecoverable run (e.g.
     // retransmissions exhausted, or every rank killed) aborts the world
     // with a report; surface it as output + exit 1, not a panic.
-    let world = with_engine_opt(
-        World::new(procs, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(sched_seed)
-            .with_faults(plan.clone()),
-        engine,
-    );
+    let world = World::new(procs, MachineParams::BANDWIDTH_ONLY)
+        .with_seed(sched_seed)
+        .with_faults(plan.clone());
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        world.run_async(move |rank| {
-            Box::pin(async move {
-                let a = random_int_matrix(n1, n2, -3..4, seed);
-                let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-                let spec = Recoverable::Alg1 {
-                    kernel: kernel_from_env(Kernel::default()),
-                    assembly: Assembly::ReduceScatter,
-                };
-                run_recoverable_a(rank, &spec, dims, &a, &b).await
-            })
+        world.run(async |rank| {
+            let a = random_int_matrix(n1, n2, -3..4, seed);
+            let b = random_int_matrix(n2, n3, -3..4, seed + 1);
+            let spec = Recoverable::Alg1 {
+                kernel: kernel_from_env(Kernel::default()),
+                assembly: Assembly::ReduceScatter,
+            };
+            run_recoverable_a(rank, &spec, dims, &a, &b).await
         })
     }));
     let mut s = String::new();
@@ -315,6 +292,11 @@ fn simulate_faulty(
 ///
 /// Exit code: `0` = product verified and (if requested) the trace file
 /// written; `1` = wrong product or the trace file could not be written.
+///
+/// # Panics
+///
+/// If `grid` does not have exactly `procs` processors (the argument
+/// parser rejects such input).
 pub fn trace(
     dims: MatMulDims,
     procs: usize,
@@ -331,10 +313,10 @@ pub fn trace(
     let out = World::new(procs, MachineParams::BANDWIDTH_ONLY)
         .with_seed(sched_seed)
         .with_trace(true)
-        .run(move |rank| {
+        .run(async |rank| {
             let a = random_int_matrix(n1, n2, -3..4, seed);
             let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-            alg1(rank, &cfg, &a, &b)
+            alg1_a(rank, &cfg, &a, &b).await
         });
     let a = random_int_matrix(n1, n2, -3..4, seed);
     let b = random_int_matrix(n2, n3, -3..4, seed + 1);

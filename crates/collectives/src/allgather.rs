@@ -17,11 +17,11 @@
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::{is_pow2, offsets};
 
-/// Algorithm selector for [`all_gather_v`].
+/// Algorithm selector for [`all_gather_v_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllGatherAlgo {
     /// Bidirectional ring; any `p`.
@@ -42,12 +42,6 @@ pub enum AllGatherAlgo {
 /// Every rank contributes `mine` (all contributions must have equal
 /// length); returns the concatenation in communicator order.
 #[track_caller]
-pub fn all_gather(rank: &mut Rank, comm: &Comm, mine: &[f64], algo: AllGatherAlgo) -> Vec<f64> {
-    poll_now(all_gather_a(rank, comm, mine, algo))
-}
-
-/// Async form of [`all_gather`] (event-loop programs).
-#[track_caller]
 pub fn all_gather_a<'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
@@ -65,18 +59,6 @@ pub fn all_gather_a<'r>(
 ///
 /// `counts[i]` is the contribution length of member `i` and must be known
 /// (and identical) at every rank; `counts[comm.index()] == mine.len()`.
-#[track_caller]
-pub fn all_gather_v(
-    rank: &mut Rank,
-    comm: &Comm,
-    mine: &[f64],
-    counts: &[usize],
-    algo: AllGatherAlgo,
-) -> Vec<f64> {
-    poll_now(all_gather_v_a(rank, comm, mine, counts, algo))
-}
-
-/// Async form of [`all_gather_v`] (event-loop programs).
 #[track_caller]
 pub fn all_gather_v_a<'r>(
     rank: &'r mut Rank,
@@ -236,10 +218,10 @@ mod tests {
 
     fn check(p: usize, counts: Vec<usize>, algo: AllGatherAlgo) {
         let want = expected(&counts);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
             let mine = vec![rank.world_rank() as f64 + 0.5; counts[rank.world_rank()]];
-            all_gather_v(rank, &comm, &mine, &counts, algo)
+            all_gather_v_a(rank, &comm, &mine, &counts, algo).await
         });
         for (r, v) in out.values.iter().enumerate() {
             assert_eq!(v, &want, "rank {r} gathered wrong data (p={p}, {algo:?})");
@@ -285,9 +267,9 @@ mod tests {
     fn bruck_latency_is_ceil_log2_for_any_p() {
         let params = MachineParams::new(1.0, 0.0, 0.0);
         for (p, want) in [(5usize, 3.0), (6, 3.0), (7, 3.0), (8, 3.0), (9, 4.0)] {
-            let out = World::new(p, params).run(move |rank| {
+            let out = World::new(p, params).run(async move |rank| {
                 let comm = rank.world_comm();
-                all_gather(rank, &comm, &[1.0], AllGatherAlgo::Bruck);
+                all_gather_a(rank, &comm, &[1.0], AllGatherAlgo::Bruck).await;
                 rank.time()
             });
             for r in 0..p {
@@ -300,9 +282,9 @@ mod tests {
     fn bruck_moves_same_words_as_ring() {
         // Both send exactly W − w_me per rank (uniform case): (p−1)·w.
         let (p, w) = (6usize, 5usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            all_gather(rank, &comm, &vec![1.0; w], AllGatherAlgo::Bruck);
+            all_gather_a(rank, &comm, &vec![1.0; w], AllGatherAlgo::Bruck).await;
             rank.meter().words_sent
         });
         for &sent in &out.values {
@@ -312,9 +294,9 @@ mod tests {
 
     #[test]
     fn single_rank_is_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
-            all_gather(rank, &comm, &[9.0, 8.0], AllGatherAlgo::Auto)
+            all_gather_a(rank, &comm, &[9.0, 8.0], AllGatherAlgo::Auto).await
         });
         assert_eq!(out.values[0], vec![9.0, 8.0]);
         assert_eq!(out.reports[0].meter.words_sent, 0);
@@ -323,10 +305,10 @@ mod tests {
     #[test]
     fn bandwidth_matches_cost_model_ring() {
         let (p, w) = (6usize, 10usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
             let mine = vec![1.0; w];
-            all_gather(rank, &comm, &mine, AllGatherAlgo::Ring);
+            all_gather_a(rank, &comm, &mine, AllGatherAlgo::Ring).await;
             rank.time()
         });
         let model = costs::all_gather_cost(AllGatherAlgo::Ring, p, w);
@@ -342,10 +324,10 @@ mod tests {
     #[test]
     fn bandwidth_matches_cost_model_recursive_doubling() {
         let (p, w) = (8usize, 5usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
             let mine = vec![1.0; w];
-            all_gather(rank, &comm, &mine, AllGatherAlgo::RecursiveDoubling);
+            all_gather_a(rank, &comm, &mine, AllGatherAlgo::RecursiveDoubling).await;
             rank.time()
         });
         let model = costs::all_gather_cost(AllGatherAlgo::RecursiveDoubling, p, w);
@@ -361,9 +343,9 @@ mod tests {
     fn latency_matches_cost_model() {
         let params = MachineParams::new(1.0, 0.0, 0.0); // count messages only
         for (algo, p) in [(AllGatherAlgo::Ring, 6), (AllGatherAlgo::RecursiveDoubling, 8)] {
-            let out = World::new(p, params).run(move |rank| {
+            let out = World::new(p, params).run(async move |rank| {
                 let comm = rank.world_comm();
-                all_gather(rank, &comm, &[1.0, 2.0], algo);
+                all_gather_a(rank, &comm, &[1.0, 2.0], algo).await;
                 rank.time()
             });
             let model = costs::all_gather_cost(algo, p, 2);
@@ -376,11 +358,11 @@ mod tests {
     #[test]
     fn works_on_subcommunicators() {
         // Split 6 ranks into two groups of 3 and all-gather within groups.
-        let out = World::new(6, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(6, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let wc = rank.world_comm();
             let color = (rank.world_rank() % 2) as i64;
-            let sub = rank.split(&wc, color, rank.world_rank() as i64).unwrap();
-            all_gather(rank, &sub, &[rank.world_rank() as f64], AllGatherAlgo::Ring)
+            let sub = rank.split_a(&wc, color, rank.world_rank() as i64).await.unwrap();
+            all_gather_a(rank, &sub, &[rank.world_rank() as f64], AllGatherAlgo::Ring).await
         });
         assert_eq!(out.values[0], vec![0.0, 2.0, 4.0]);
         assert_eq!(out.values[3], vec![1.0, 3.0, 5.0]);
@@ -389,9 +371,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn recursive_doubling_rejects_non_pow2() {
-        World::new(3, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        World::new(3, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
-            all_gather(rank, &comm, &[0.0], AllGatherAlgo::RecursiveDoubling);
+            all_gather_a(rank, &comm, &[0.0], AllGatherAlgo::RecursiveDoubling).await;
         });
     }
 }

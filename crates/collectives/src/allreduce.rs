@@ -4,13 +4,13 @@
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::allgather::{all_gather_v_a, AllGatherAlgo};
 use crate::reduce_scatter::{reduce_scatter_v_a, ReduceScatterAlgo};
 use crate::util::{axpy1, is_pow2};
 
-/// Algorithm selector for [`all_reduce`].
+/// Algorithm selector for [`all_reduce_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllReduceAlgo {
     /// Rabenseifner: Reduce-Scatter then All-Gather. Bandwidth-optimal
@@ -25,12 +25,6 @@ pub enum AllReduceAlgo {
 
 /// Sum-reduce `data` across the communicator; every rank returns the full
 /// element-wise sum.
-#[track_caller]
-pub fn all_reduce(rank: &mut Rank, comm: &Comm, data: &[f64], algo: AllReduceAlgo) -> Vec<f64> {
-    poll_now(all_reduce_a(rank, comm, data, algo))
-}
-
-/// Async form of [`all_reduce`] (event-loop programs).
 #[track_caller]
 pub fn all_reduce_a<'r>(
     rank: &'r mut Rank,
@@ -91,11 +85,11 @@ mod tests {
     use pmm_simnet::{MachineParams, World};
 
     fn check(p: usize, len: usize, algo: AllReduceAlgo) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let data: Vec<f64> =
                 (0..len).map(|e| (rank.world_rank() + 1) as f64 + e as f64).collect();
-            all_reduce(rank, &comm, &data, algo)
+            all_reduce_a(rank, &comm, &data, algo).await
         });
         let s = (p * (p + 1) / 2) as f64;
         let want: Vec<f64> = (0..len).map(|e| s + (p as f64) * e as f64).collect();
@@ -127,9 +121,9 @@ mod tests {
     #[test]
     fn rabenseifner_matches_cost_model() {
         let (p, w) = (8usize, 80usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            all_reduce(rank, &comm, &vec![1.0; w], AllReduceAlgo::ReduceScatterAllGather);
+            all_reduce_a(rank, &comm, &vec![1.0; w], AllReduceAlgo::ReduceScatterAllGather).await;
             rank.time()
         });
         let model = costs::all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, p, w);
@@ -142,9 +136,9 @@ mod tests {
     #[test]
     fn recursive_doubling_matches_cost_model() {
         let (p, w) = (8usize, 10usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            all_reduce(rank, &comm, &vec![1.0; w], AllReduceAlgo::RecursiveDoubling);
+            all_reduce_a(rank, &comm, &vec![1.0; w], AllReduceAlgo::RecursiveDoubling).await;
             rank.time()
         });
         let model = costs::all_reduce_cost(AllReduceAlgo::RecursiveDoubling, p, w);
@@ -156,9 +150,9 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
-            all_reduce(rank, &comm, &[1.0, 2.0], AllReduceAlgo::Auto)
+            all_reduce_a(rank, &comm, &[1.0, 2.0], AllReduceAlgo::Auto).await
         });
         assert_eq!(out.values[0], vec![1.0, 2.0]);
     }

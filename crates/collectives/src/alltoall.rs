@@ -8,11 +8,11 @@
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::is_pow2;
 
-/// Algorithm selector for [`all_to_all`].
+/// Algorithm selector for [`all_to_all_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllToAllAlgo {
     /// `p − 1` steps; step `s` exchanges with rank `me XOR s` (power-of-two
@@ -24,12 +24,6 @@ pub enum AllToAllAlgo {
 /// equal blocks (block `i` destined for member `i`); the result is the
 /// concatenation of the blocks received from each member (own block
 /// copied locally).
-#[track_caller]
-pub fn all_to_all(rank: &mut Rank, comm: &Comm, data: &[f64], algo: AllToAllAlgo) -> Vec<f64> {
-    poll_now(all_to_all_a(rank, comm, data, algo))
-}
-
-/// Async form of [`all_to_all`] (event-loop programs).
 #[track_caller]
 pub fn all_to_all_a<'r>(
     rank: &'r mut Rank,
@@ -78,13 +72,13 @@ mod tests {
     use pmm_simnet::{MachineParams, World};
 
     fn check(p: usize, w: usize) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let me = rank.world_rank();
             // block for destination d: value me*p + d, repeated w times
             let data: Vec<f64> =
                 (0..p).flat_map(|d| std::iter::repeat_n((me * p + d) as f64, w)).collect();
-            all_to_all(rank, &comm, &data, AllToAllAlgo::Pairwise)
+            all_to_all_a(rank, &comm, &data, AllToAllAlgo::Pairwise).await
         });
         for (r, v) in out.values.iter().enumerate() {
             let want: Vec<f64> =
@@ -107,10 +101,10 @@ mod tests {
     fn matches_cost_model() {
         for p in [8usize, 6] {
             let w = 5usize;
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let comm = rank.world_comm();
                 let data = vec![1.0; p * w];
-                all_to_all(rank, &comm, &data, AllToAllAlgo::Pairwise);
+                all_to_all_a(rank, &comm, &data, AllToAllAlgo::Pairwise).await;
                 rank.time()
             });
             let model = costs::all_to_all_cost(AllToAllAlgo::Pairwise, p, w);
@@ -123,9 +117,9 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
-            all_to_all(rank, &comm, &[9.0, 9.5], AllToAllAlgo::Pairwise)
+            all_to_all_a(rank, &comm, &[9.0, 9.5], AllToAllAlgo::Pairwise).await
         });
         assert_eq!(out.values[0], vec![9.0, 9.5]);
     }

@@ -4,17 +4,11 @@
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 /// Synchronize all members of `comm`. Unlike
-/// [`Rank::hard_sync`](pmm_simnet::Rank::hard_sync) this is a *metered*
+/// [`Rank::hard_sync_a`](pmm_simnet::Rank::hard_sync_a) this is a *metered*
 /// barrier: it exchanges real (empty) messages and pays `⌈log2 p⌉·α`.
-#[track_caller]
-pub fn barrier(rank: &mut Rank, comm: &Comm) {
-    poll_now(barrier_a(rank, comm));
-}
-
-/// Async form of [`barrier`] (event-loop programs).
 #[track_caller]
 pub fn barrier_a<'r>(rank: &'r mut Rank, comm: &'r Comm) -> impl Future<Output = ()> + 'r {
     let site = Location::caller();
@@ -50,10 +44,10 @@ mod tests {
         let pre = Arc::new(AtomicUsize::new(0));
         let p = 8usize;
         let pre2 = pre.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             pre2.fetch_add(1, Ordering::SeqCst);
-            barrier(rank, &comm);
+            barrier_a(rank, &comm).await;
             pre2.load(Ordering::SeqCst)
         });
         for v in out.values {
@@ -65,9 +59,9 @@ mod tests {
     fn cost_is_log_latency_only() {
         for p in [2usize, 3, 5, 8, 16] {
             let params = MachineParams::new(1.0, 1.0, 1.0);
-            let out = World::new(p, params).run(|rank| {
+            let out = World::new(p, params).run(async |rank| {
                 let comm = rank.world_comm();
-                barrier(rank, &comm);
+                barrier_a(rank, &comm).await;
                 (rank.time(), rank.meter().words_sent)
             });
             let model = costs::barrier_cost(p);
@@ -80,9 +74,9 @@ mod tests {
 
     #[test]
     fn single_rank_noop() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
-            barrier(rank, &comm);
+            barrier_a(rank, &comm).await;
             rank.meter().msgs_sent
         });
         assert_eq!(out.values[0], 0);

@@ -3,12 +3,12 @@
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::allgather::{all_gather_v_a, AllGatherAlgo};
 use crate::gather_scatter::{scatter_v_a, ScatterAlgo};
 
-/// Algorithm selector for [`bcast`].
+/// Algorithm selector for [`bcast_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BcastAlgo {
     /// Binomial tree: `⌈log2 p⌉` rounds, good for small messages.
@@ -24,12 +24,6 @@ pub enum BcastAlgo {
 ///
 /// On the root, `data` must hold the message; on other ranks `data` is
 /// ignored (pass `&[]`). Returns the broadcast message on every rank.
-#[track_caller]
-pub fn bcast(rank: &mut Rank, comm: &Comm, data: &[f64], root: usize, algo: BcastAlgo) -> Vec<f64> {
-    poll_now(bcast_a(rank, comm, data, root, algo))
-}
-
-/// Async form of [`bcast`] (event-loop programs).
 #[track_caller]
 pub fn bcast_a<'r>(
     rank: &'r mut Rank,
@@ -111,10 +105,10 @@ mod tests {
     fn check(p: usize, root: usize, len: usize, algo: BcastAlgo) {
         let msg: Vec<f64> = (0..len).map(|i| i as f64 * 1.5).collect();
         let want = msg.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
             let data = if rank.world_rank() == root { msg.clone() } else { vec![0.0; len] };
-            bcast(rank, &comm, &data, root, algo)
+            bcast_a(rank, &comm, &data, root, algo).await
         });
         for (r, v) in out.values.iter().enumerate() {
             assert_eq!(v, &want, "rank {r} (p={p}, root={root}, {algo:?})");
@@ -140,10 +134,10 @@ mod tests {
     #[test]
     fn root_cost_matches_binomial_model() {
         let (p, w) = (8usize, 10usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let data = vec![1.0; w];
-            bcast(rank, &comm, &data, 0, BcastAlgo::Binomial);
+            bcast_a(rank, &comm, &data, 0, BcastAlgo::Binomial).await;
             rank.time()
         });
         let model = costs::bcast_cost(BcastAlgo::Binomial, p, w);
@@ -159,10 +153,10 @@ mod tests {
         let (p, w) = (8usize, 64usize);
         let run = |algo: BcastAlgo| {
             World::new(p, MachineParams::BANDWIDTH_ONLY)
-                .run(move |rank| {
+                .run(async move |rank| {
                     let comm = rank.world_comm();
                     let data = vec![1.0; w];
-                    bcast(rank, &comm, &data, 0, algo);
+                    bcast_a(rank, &comm, &data, 0, algo).await;
                 })
                 .critical_path_time()
         };
@@ -173,9 +167,9 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
-            bcast(rank, &comm, &[5.0], 0, BcastAlgo::Auto)
+            bcast_a(rank, &comm, &[5.0], 0, BcastAlgo::Auto).await
         });
         assert_eq!(out.values[0], vec![5.0]);
     }

@@ -25,7 +25,7 @@ use crate::reduce::ReduceAlgo;
 use crate::reduce_scatter::ReduceScatterAlgo;
 use crate::util::{ceil_log2, is_pow2};
 
-/// Cost of [`all_gather`](crate::all_gather) with per-rank block size `w`.
+/// Cost of [`all_gather_a`](crate::all_gather_a) with per-rank block size `w`.
 ///
 /// Ring: `(p−1)·α + (p−1)·w·β`. Recursive doubling (`p = 2^d`):
 /// `d·α + (p−1)·w·β`. Both achieve the optimal `(1 − 1/p)·W` bandwidth.
@@ -52,7 +52,7 @@ pub fn all_gather_cost(algo: AllGatherAlgo, p: usize, w: usize) -> Cost {
     Cost { messages, words, flops: 0.0 }
 }
 
-/// Cost of [`reduce_scatter`](crate::reduce_scatter()) with per-rank segment
+/// Cost of [`reduce_scatter_a`](crate::reduce_scatter_a) with per-rank segment
 /// size `w` (input length `p·w`).
 ///
 /// Same message/word counts as the matching All-Gather, plus
@@ -71,7 +71,7 @@ pub fn reduce_scatter_cost(algo: ReduceScatterAlgo, p: usize, w: usize) -> Cost 
     c
 }
 
-/// Cost of [`bcast`](crate::bcast()) of `w` words from the root.
+/// Cost of [`bcast_a`](crate::bcast_a) of `w` words from the root.
 ///
 /// Binomial tree: `⌈log2 p⌉·(α + w·β)` (cost at the root; leaves pay one
 /// message less — the model reports the critical path).
@@ -98,7 +98,7 @@ pub fn bcast_cost(algo: BcastAlgo, p: usize, w: usize) -> Cost {
     }
 }
 
-/// Cost of [`reduce`](crate::reduce()) of `w` words to the root (binomial):
+/// Cost of [`reduce_a`](crate::reduce_a) of `w` words to the root (binomial):
 /// critical path `⌈log2 p⌉·(α + w·β + w γ-flops)`.
 pub fn reduce_cost(_algo: ReduceAlgo, p: usize, w: usize) -> Cost {
     if p <= 1 {
@@ -108,7 +108,7 @@ pub fn reduce_cost(_algo: ReduceAlgo, p: usize, w: usize) -> Cost {
     Cost { messages: d, words: d * w as f64, flops: d * w as f64 }
 }
 
-/// Cost of [`all_reduce`](crate::all_reduce) of `w` words.
+/// Cost of [`all_reduce_a`](crate::all_reduce_a) of `w` words.
 ///
 /// Rabenseifner (reduce-scatter + all-gather), `p = 2^d`, `p | w`:
 /// `2d·α + 2(1 − 1/p)·w·β + (1 − 1/p)·w` flops.
@@ -150,7 +150,7 @@ pub fn all_reduce_cost(algo: AllReduceAlgo, p: usize, w: usize) -> Cost {
     }
 }
 
-/// Cost of [`gather_v`](crate::gather_v) with uniform block `w` (binomial,
+/// Cost of [`gather_v_a`](crate::gather_v_a) with uniform block `w` (binomial,
 /// cost at the root): `⌈log2 p⌉·α + (p−1)·w·β`.
 pub fn gather_cost(_algo: GatherAlgo, p: usize, w: usize) -> Cost {
     if p <= 1 {
@@ -159,7 +159,7 @@ pub fn gather_cost(_algo: GatherAlgo, p: usize, w: usize) -> Cost {
     Cost { messages: ceil_log2(p) as f64, words: ((p - 1) * w) as f64, flops: 0.0 }
 }
 
-/// Cost of [`scatter_v`](crate::scatter_v) with uniform block `w`
+/// Cost of [`scatter_v_a`](crate::scatter_v_a) with uniform block `w`
 /// (binomial, cost at the root): `⌈log2 p⌉·α + (p−1)·w·β`.
 pub fn scatter_cost(_algo: ScatterAlgo, p: usize, w: usize) -> Cost {
     if p <= 1 {
@@ -168,7 +168,7 @@ pub fn scatter_cost(_algo: ScatterAlgo, p: usize, w: usize) -> Cost {
     Cost { messages: ceil_log2(p) as f64, words: ((p - 1) * w) as f64, flops: 0.0 }
 }
 
-/// Cost of [`all_to_all`](crate::all_to_all) with `w` words per
+/// Cost of [`all_to_all_a`](crate::all_to_all_a) with `w` words per
 /// destination (pairwise exchange): `(p−1)·(α + w·β)`.
 pub fn all_to_all_cost(_algo: AllToAllAlgo, p: usize, w: usize) -> Cost {
     if p <= 1 {
@@ -177,7 +177,7 @@ pub fn all_to_all_cost(_algo: AllToAllAlgo, p: usize, w: usize) -> Cost {
     Cost { messages: (p - 1) as f64, words: ((p - 1) * w) as f64, flops: 0.0 }
 }
 
-/// Cost of [`scan`](crate::scan()) of `w` words per rank (Hillis–Steele
+/// Cost of [`scan_a`](crate::scan_a) of `w` words per rank (Hillis–Steele
 /// doubling): critical path `⌈log2 p⌉·(α + w·β)` plus `⌈log2 p⌉·w`
 /// reduction flops.
 ///
@@ -193,14 +193,14 @@ pub fn scan_cost(p: usize, w: usize) -> Cost {
     Cost { messages: d, words: d * w as f64, flops: d * w as f64 }
 }
 
-/// Cost of [`exscan`](crate::exscan): identical to [`scan_cost`] — the
+/// Cost of [`exscan_a`](crate::exscan_a): identical to [`scan_cost`] — the
 /// exclusive prefix is derived from the inclusive one locally, with no
 /// extra communication.
 pub fn exscan_cost(p: usize, w: usize) -> Cost {
     scan_cost(p, w)
 }
 
-/// Cost of [`barrier`](crate::barrier()) (dissemination): `⌈log2 p⌉·α`.
+/// Cost of [`barrier_a`](crate::barrier_a) (dissemination): `⌈log2 p⌉·α`.
 pub fn barrier_cost(p: usize) -> Cost {
     if p <= 1 {
         return Cost::ZERO;

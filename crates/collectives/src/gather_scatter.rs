@@ -8,18 +8,18 @@
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::offsets;
 
-/// Algorithm selector for [`gather_v`].
+/// Algorithm selector for [`gather_v_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GatherAlgo {
     /// Binomial tree (`⌈log2 p⌉` rounds at the root).
     Binomial,
 }
 
-/// Algorithm selector for [`scatter_v`].
+/// Algorithm selector for [`scatter_v_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScatterAlgo {
     /// Binomial tree.
@@ -29,19 +29,6 @@ pub enum ScatterAlgo {
 /// Gather: member `i` contributes `mine` (`counts[i]` words); the root
 /// returns the concatenation in communicator order, other ranks return an
 /// empty vector.
-#[track_caller]
-pub fn gather_v(
-    rank: &mut Rank,
-    comm: &Comm,
-    mine: &[f64],
-    counts: &[usize],
-    root: usize,
-    algo: GatherAlgo,
-) -> Vec<f64> {
-    poll_now(gather_v_a(rank, comm, mine, counts, root, algo))
-}
-
-/// Async form of [`gather_v`] (event-loop programs).
 #[track_caller]
 pub fn gather_v_a<'r>(
     rank: &'r mut Rank,
@@ -114,19 +101,6 @@ pub fn gather_v_a<'r>(
 /// Scatter: the root provides `data` as the concatenation of per-member
 /// blocks (`counts`, communicator order); every rank returns its own
 /// block. Non-roots pass any `data` (ignored).
-#[track_caller]
-pub fn scatter_v(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: &[f64],
-    counts: &[usize],
-    root: usize,
-    algo: ScatterAlgo,
-) -> Vec<f64> {
-    poll_now(scatter_v_a(rank, comm, data, counts, root, algo))
-}
-
-/// Async form of [`scatter_v`] (event-loop programs).
 #[track_caller]
 pub fn scatter_v_a<'r>(
     rank: &'r mut Rank,
@@ -232,10 +206,10 @@ mod tests {
 
     fn check_gather(p: usize, counts: Vec<usize>, root: usize) {
         let want: Vec<f64> = (0..p).flat_map(|i| block(i, counts[i])).collect();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
             let mine = block(rank.world_rank(), counts[rank.world_rank()]);
-            gather_v(rank, &comm, &mine, &counts, root, GatherAlgo::Binomial)
+            gather_v_a(rank, &comm, &mine, &counts, root, GatherAlgo::Binomial).await
         });
         for (r, v) in out.values.iter().enumerate() {
             if r == root {
@@ -248,10 +222,10 @@ mod tests {
 
     fn check_scatter(p: usize, counts: Vec<usize>, root: usize) {
         let full: Vec<f64> = (0..p).flat_map(|i| block(i, counts[i])).collect();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
             let data = if rank.world_rank() == root { full.clone() } else { Vec::new() };
-            scatter_v(rank, &comm, &data, &counts, root, ScatterAlgo::Binomial)
+            scatter_v_a(rank, &comm, &data, &counts, root, ScatterAlgo::Binomial).await
         });
         for (r, v) in out.values.iter().enumerate() {
             assert_eq!(v, &block(r, counts[r]), "rank {r} block (p={p}, root={root})");
@@ -291,10 +265,10 @@ mod tests {
     #[test]
     fn gather_root_bandwidth_is_total_minus_own() {
         let (p, w) = (8usize, 5usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let mine = vec![1.0; w];
-            gather_v(rank, &comm, &mine, &vec![w; p], 0, GatherAlgo::Binomial);
+            gather_v_a(rank, &comm, &mine, &vec![w; p], 0, GatherAlgo::Binomial).await;
         });
         assert_eq!(out.reports[0].meter.words_recv, ((p - 1) * w) as u64);
         assert_eq!(out.reports[0].meter.words_sent, 0);
@@ -303,10 +277,10 @@ mod tests {
     #[test]
     fn scatter_root_bandwidth_is_total_minus_own() {
         let (p, w) = (8usize, 5usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let data = vec![1.0; p * w];
-            scatter_v(rank, &comm, &data, &vec![w; p], 0, ScatterAlgo::Binomial);
+            scatter_v_a(rank, &comm, &data, &vec![w; p], 0, ScatterAlgo::Binomial).await;
         });
         assert_eq!(out.reports[0].meter.words_sent, ((p - 1) * w) as u64);
         assert_eq!(out.reports[0].meter.words_recv, 0);
@@ -317,11 +291,11 @@ mod tests {
         let p = 7usize;
         let counts: Vec<usize> = (0..p).map(|i| (i * 3) % 5).collect();
         let full: Vec<f64> = (0..p).flat_map(|i| block(i, counts[i])).collect();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
             let data = if rank.world_rank() == 2 { full.clone() } else { Vec::new() };
-            let mine = scatter_v(rank, &comm, &data, &counts, 2, ScatterAlgo::Binomial);
-            gather_v(rank, &comm, &mine, &counts, 2, GatherAlgo::Binomial)
+            let mine = scatter_v_a(rank, &comm, &data, &counts, 2, ScatterAlgo::Binomial).await;
+            gather_v_a(rank, &comm, &mine, &counts, 2, GatherAlgo::Binomial).await
         });
         assert_eq!(out.values[2], full);
     }

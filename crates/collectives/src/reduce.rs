@@ -3,11 +3,11 @@
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::axpy1;
 
-/// Algorithm selector for [`reduce`].
+/// Algorithm selector for [`reduce_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceAlgo {
     /// Binomial tree (`⌈log2 p⌉` rounds).
@@ -17,18 +17,6 @@ pub enum ReduceAlgo {
 /// Sum-reduce `data` to member `root`. Every rank contributes a buffer of
 /// the same length; the root returns the element-wise sum, others return
 /// an empty vector. Reduction additions are metered as flops.
-#[track_caller]
-pub fn reduce(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: &[f64],
-    root: usize,
-    algo: ReduceAlgo,
-) -> Vec<f64> {
-    poll_now(reduce_a(rank, comm, data, root, algo))
-}
-
-/// Async form of [`reduce`] (event-loop programs).
 #[track_caller]
 pub fn reduce_a<'r>(
     rank: &'r mut Rank,
@@ -78,11 +66,11 @@ mod tests {
     use pmm_simnet::{MachineParams, World};
 
     fn check(p: usize, root: usize, len: usize) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let data: Vec<f64> =
                 (0..len).map(|e| (rank.world_rank() + 1) as f64 * (e + 1) as f64).collect();
-            reduce(rank, &comm, &data, root, ReduceAlgo::Binomial)
+            reduce_a(rank, &comm, &data, root, ReduceAlgo::Binomial).await
         });
         let s = (p * (p + 1) / 2) as f64;
         let want: Vec<f64> = (0..len).map(|e| s * (e + 1) as f64).collect();
@@ -107,9 +95,9 @@ mod tests {
     #[test]
     fn root_critical_path_matches_model_for_pow2() {
         let (p, w) = (8usize, 6usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            reduce(rank, &comm, &vec![1.0; w], 0, ReduceAlgo::Binomial);
+            reduce_a(rank, &comm, &vec![1.0; w], 0, ReduceAlgo::Binomial).await;
             rank.time()
         });
         let model = costs::reduce_cost(ReduceAlgo::Binomial, p, w);
@@ -121,9 +109,9 @@ mod tests {
     #[test]
     fn flops_are_metered() {
         let (p, w) = (4usize, 10usize);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            reduce(rank, &comm, &vec![1.0; w], 0, ReduceAlgo::Binomial);
+            reduce_a(rank, &comm, &vec![1.0; w], 0, ReduceAlgo::Binomial).await;
             rank.meter().flops
         });
         // Total additions across ranks: (p-1)·w.
@@ -133,9 +121,9 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
-            reduce(rank, &comm, &[2.0, 4.0], 0, ReduceAlgo::Binomial)
+            reduce_a(rank, &comm, &[2.0, 4.0], 0, ReduceAlgo::Binomial).await
         });
         assert_eq!(out.values[0], vec![2.0, 4.0]);
     }

@@ -14,11 +14,11 @@
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::{axpy1, is_pow2, offsets};
 
-/// Algorithm selector for [`reduce_scatter_v`].
+/// Algorithm selector for [`reduce_scatter_v_a`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceScatterAlgo {
     /// Ring; any `p`.
@@ -31,17 +31,6 @@ pub enum ReduceScatterAlgo {
 
 /// Reduce-Scatter with uniform segments: `data.len()` must be divisible by
 /// `p`; rank `i` receives the sum of everyone's `i`-th chunk.
-#[track_caller]
-pub fn reduce_scatter(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: &[f64],
-    algo: ReduceScatterAlgo,
-) -> Vec<f64> {
-    poll_now(reduce_scatter_a(rank, comm, data, algo))
-}
-
-/// Async form of [`reduce_scatter`] (event-loop programs).
 #[track_caller]
 pub fn reduce_scatter_a<'r>(
     rank: &'r mut Rank,
@@ -67,18 +56,6 @@ pub fn reduce_scatter_a<'r>(
 /// `data.len() == counts.iter().sum()` at every rank; rank `i` receives
 /// the element-wise sum of everyone's segment `i`. Reduction additions are
 /// metered as flops on the rank performing them.
-#[track_caller]
-pub fn reduce_scatter_v(
-    rank: &mut Rank,
-    comm: &Comm,
-    data: &[f64],
-    counts: &[usize],
-    algo: ReduceScatterAlgo,
-) -> Vec<f64> {
-    poll_now(reduce_scatter_v_a(rank, comm, data, counts, algo))
-}
-
-/// Async form of [`reduce_scatter_v`] (event-loop programs).
 #[track_caller]
 pub fn reduce_scatter_v_a<'r>(
     rank: &'r mut Rank,
@@ -196,10 +173,10 @@ mod tests {
 
     fn check(p: usize, counts: Vec<usize>, algo: ReduceScatterAlgo) {
         let total: usize = counts.iter().sum();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
             let data = contribution(rank.world_rank(), total);
-            reduce_scatter_v(rank, &comm, &data, &counts, algo)
+            reduce_scatter_v_a(rank, &comm, &data, &counts, algo).await
         });
         for (r, v) in out.values.iter().enumerate() {
             assert_eq!(v, &expected_segment(r, p, &counts), "rank {r} (p={p}, {algo:?})");
@@ -234,9 +211,9 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
-            reduce_scatter(rank, &comm, &[3.0, 4.0], ReduceScatterAlgo::Auto)
+            reduce_scatter_a(rank, &comm, &[3.0, 4.0], ReduceScatterAlgo::Auto).await
         });
         assert_eq!(out.values[0], vec![3.0, 4.0]);
     }
@@ -248,10 +225,10 @@ mod tests {
         {
             let w = 4usize; // words per segment
             let total = p * w;
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let comm = rank.world_comm();
                 let data = vec![1.0; total];
-                reduce_scatter(rank, &comm, &data, algo);
+                reduce_scatter_a(rank, &comm, &data, algo).await;
                 rank.time()
             });
             let model = costs::reduce_scatter_cost(algo, p, w);
@@ -272,10 +249,10 @@ mod tests {
         for (algo, p, want) in
             [(ReduceScatterAlgo::Ring, 6usize, 5.0), (ReduceScatterAlgo::RecursiveHalving, 8, 3.0)]
         {
-            let out = World::new(p, params).run(move |rank| {
+            let out = World::new(p, params).run(async move |rank| {
                 let comm = rank.world_comm();
                 let data = vec![1.0; p];
-                reduce_scatter(rank, &comm, &data, algo);
+                reduce_scatter_a(rank, &comm, &data, algo).await;
                 rank.time()
             });
             let model = costs::reduce_scatter_cost(algo, p, 1);
@@ -289,13 +266,13 @@ mod tests {
     #[test]
     fn reduce_scatter_then_allgather_is_allreduce() {
         // Sanity composition: RS + AG should give every rank the full sum.
-        use crate::allgather::{all_gather, AllGatherAlgo};
+        use crate::allgather::{all_gather_a, AllGatherAlgo};
         let p = 4usize;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
             let data = vec![(rank.world_rank() + 1) as f64; 8];
-            let seg = reduce_scatter(rank, &comm, &data, ReduceScatterAlgo::Auto);
-            all_gather(rank, &comm, &seg, AllGatherAlgo::Auto)
+            let seg = reduce_scatter_a(rank, &comm, &data, ReduceScatterAlgo::Auto).await;
+            all_gather_a(rank, &comm, &seg, AllGatherAlgo::Auto).await
         });
         let want = vec![10.0; 8]; // 1+2+3+4
         for v in &out.values {
@@ -306,9 +283,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "not divisible")]
     fn uniform_requires_divisible_length() {
-        World::new(3, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        World::new(3, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
-            reduce_scatter(rank, &comm, &[1.0; 4], ReduceScatterAlgo::Ring);
+            reduce_scatter_a(rank, &comm, &[1.0; 4], ReduceScatterAlgo::Ring).await;
         });
     }
 }

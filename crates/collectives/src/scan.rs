@@ -9,18 +9,12 @@
 use std::future::Future;
 use std::panic::Location;
 
-use pmm_simnet::{poll_now, CollectiveOp, Comm, Rank};
+use pmm_simnet::{CollectiveOp, Comm, Rank};
 
 use crate::util::axpy1;
 
 /// Inclusive prefix sum: rank `r` returns the element-wise sum of the
 /// contributions of ranks `0..=r`.
-#[track_caller]
-pub fn scan(rank: &mut Rank, comm: &Comm, data: &[f64]) -> Vec<f64> {
-    poll_now(scan_a(rank, comm, data))
-}
-
-/// Async form of [`scan`] (event-loop programs).
 #[track_caller]
 pub fn scan_a<'r>(
     rank: &'r mut Rank,
@@ -63,12 +57,6 @@ async fn scan_at(
 /// Exclusive prefix sum: rank `r` returns the element-wise sum of the
 /// contributions of ranks `0..r` (zeros on rank 0).
 #[track_caller]
-pub fn exscan(rank: &mut Rank, comm: &Comm, data: &[f64]) -> Vec<f64> {
-    poll_now(exscan_a(rank, comm, data))
-}
-
-/// Async form of [`exscan`] (event-loop programs).
-#[track_caller]
 pub fn exscan_a<'r>(
     rank: &'r mut Rank,
     comm: &'r Comm,
@@ -94,10 +82,10 @@ mod tests {
     }
 
     fn check_scan(p: usize, w: usize) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let mine = contribution(rank.world_rank(), w);
-            scan(rank, &comm, &mine)
+            scan_a(rank, &comm, &mine).await
         });
         for (r, v) in out.values.iter().enumerate() {
             let want: Vec<f64> =
@@ -116,10 +104,10 @@ mod tests {
     #[test]
     fn exscan_shifts_by_one_rank() {
         let p = 6usize;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let mine = contribution(rank.world_rank(), 2);
-            exscan(rank, &comm, &mine)
+            exscan_a(rank, &comm, &mine).await
         });
         assert_eq!(out.values[0], vec![0.0, 0.0]);
         for r in 1..p {
@@ -134,9 +122,9 @@ mod tests {
         // The motivating use: each rank contributes its chunk length; the
         // exclusive scan is its offset.
         let lens = [3usize, 0, 5, 2, 7];
-        let out = World::new(5, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(5, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            exscan(rank, &comm, &[lens[rank.world_rank()] as f64])[0] as usize
+            exscan_a(rank, &comm, &[lens[rank.world_rank()] as f64]).await[0] as usize
         });
         assert_eq!(out.values, vec![0, 3, 3, 8, 10]);
     }
@@ -149,9 +137,9 @@ mod tests {
         // linear like a naive chain scan.
         let params = MachineParams::new(1.0, 0.0, 0.0);
         for (p, rounds) in [(8usize, 3.0), (16, 4.0), (32, 5.0)] {
-            let out = World::new(p, params).run(|rank| {
+            let out = World::new(p, params).run(async |rank| {
                 let comm = rank.world_comm();
-                scan(rank, &comm, &[1.0]);
+                scan_a(rank, &comm, &[1.0]).await;
                 rank.time()
             });
             let t = out.critical_path_time();
@@ -161,9 +149,9 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
             let comm = rank.world_comm();
-            scan(rank, &comm, &[4.0, 5.0])
+            scan_a(rank, &comm, &[4.0, 5.0]).await
         });
         assert_eq!(out.values[0], vec![4.0, 5.0]);
     }

@@ -9,7 +9,8 @@
 //! deterministic scheduler (and any failure names a replayable seed).
 
 use pmm_collectives::{
-    all_reduce, all_to_all, bcast, costs, exscan, scan, AllReduceAlgo, AllToAllAlgo, BcastAlgo,
+    all_reduce_a, all_to_all_a, bcast_a, costs, exscan_a, scan_a, AllReduceAlgo, AllToAllAlgo,
+    BcastAlgo,
 };
 use pmm_simnet::{MachineParams, Meter, World};
 
@@ -22,12 +23,11 @@ fn contribution(rank: usize, w: usize) -> Vec<f64> {
 
 fn run_collective<T, F>(p: usize, program: F) -> (Vec<T>, Vec<Meter>)
 where
-    T: Send + 'static,
-    F: Fn(&mut pmm_simnet::Rank) -> T + Send + Sync + 'static,
+    F: AsyncFn(&mut pmm_simnet::Rank) -> T,
 {
     let out = World::new(p, MachineParams::BANDWIDTH_ONLY)
         .with_seed(SEED)
-        .run(move |rank| (program(rank), rank.meter()));
+        .run(async |rank| (program(rank).await, rank.meter()));
     out.values.into_iter().unzip()
 }
 
@@ -35,9 +35,9 @@ where
 fn scan_matches_serial_prefix_sums_and_the_cost_model() {
     for p in [2usize, 3, 5, 8, 16] {
         let w = 4;
-        let (values, meters) = run_collective(p, move |rank| {
+        let (values, meters) = run_collective(p, async move |rank| {
             let comm = rank.world_comm();
-            scan(rank, &comm, &contribution(rank.world_rank(), w))
+            scan_a(rank, &comm, &contribution(rank.world_rank(), w)).await
         });
         let model = costs::scan_cost(p, w);
         let rounds = model.messages as u32;
@@ -64,9 +64,9 @@ fn scan_matches_serial_prefix_sums_and_the_cost_model() {
 #[test]
 fn exscan_shifts_the_scan_by_one_rank_at_the_same_cost() {
     let (p, w) = (7usize, 3usize);
-    let (values, meters) = run_collective(p, move |rank| {
+    let (values, meters) = run_collective(p, async move |rank| {
         let comm = rank.world_comm();
-        exscan(rank, &comm, &contribution(rank.world_rank(), w))
+        exscan_a(rank, &comm, &contribution(rank.world_rank(), w)).await
     });
     for (r, v) in values.iter().enumerate() {
         let want: Vec<f64> = (0..w).map(|e| (0..r).map(|q| contribution(q, w)[e]).sum()).collect();
@@ -81,13 +81,13 @@ fn exscan_shifts_the_scan_by_one_rank_at_the_same_cost() {
 fn alltoall_transposes_blocks_and_every_rank_meets_the_cost_model() {
     for p in [2usize, 4, 6, 8] {
         let w = 3;
-        let (values, meters) = run_collective(p, move |rank| {
+        let (values, meters) = run_collective(p, async move |rank| {
             let me = rank.world_rank();
             // Block destined for rank j carries (me, j)-tagged values.
             let data: Vec<f64> =
                 (0..p * w).map(|i| (me * 1000 + (i / w) * 10 + i % w) as f64).collect();
             let comm = rank.world_comm();
-            all_to_all(rank, &comm, &data, AllToAllAlgo::Pairwise)
+            all_to_all_a(rank, &comm, &data, AllToAllAlgo::Pairwise).await
         });
         let model = costs::all_to_all_cost(AllToAllAlgo::Pairwise, p, w);
         for (r, v) in values.iter().enumerate() {
@@ -110,9 +110,9 @@ fn bcast_delivers_root_data_from_any_root_and_meets_the_cost_model() {
         for root in [0, p / 2, p - 1] {
             let w = p * 2; // p | w, so both algorithms are legal.
             for algo in [BcastAlgo::Binomial, BcastAlgo::ScatterAllGather] {
-                let (values, meters) = run_collective(p, move |rank| {
+                let (values, meters) = run_collective(p, async move |rank| {
                     let comm = rank.world_comm();
-                    bcast(rank, &comm, &contribution(root, w), root, algo)
+                    bcast_a(rank, &comm, &contribution(root, w), root, algo).await
                 });
                 let want = contribution(root, w);
                 for (r, v) in values.iter().enumerate() {
@@ -142,9 +142,9 @@ fn allreduce_all_algorithms_match_the_serial_sum() {
             AllReduceAlgo::RecursiveDoubling,
             AllReduceAlgo::Auto,
         ] {
-            let (values, meters) = run_collective(p, move |rank| {
+            let (values, meters) = run_collective(p, async move |rank| {
                 let comm = rank.world_comm();
-                all_reduce(rank, &comm, &contribution(rank.world_rank(), w), algo)
+                all_reduce_a(rank, &comm, &contribution(rank.world_rank(), w), algo).await
             });
             let want: Vec<f64> =
                 (0..w).map(|e| (0..p).map(|q| contribution(q, w)[e]).sum()).collect();
@@ -168,9 +168,10 @@ fn allreduce_all_algorithms_match_the_serial_sum() {
     // conservation are exact.
     for p in [3usize, 6] {
         let w = 5;
-        let (values, meters) = run_collective(p, move |rank| {
+        let (values, meters) = run_collective(p, async move |rank| {
             let comm = rank.world_comm();
-            all_reduce(rank, &comm, &contribution(rank.world_rank(), w), AllReduceAlgo::Auto)
+            all_reduce_a(rank, &comm, &contribution(rank.world_rank(), w), AllReduceAlgo::Auto)
+                .await
         });
         let want: Vec<f64> = (0..w).map(|e| (0..p).map(|q| contribution(q, w)[e]).sum()).collect();
         for (r, v) in values.iter().enumerate() {
@@ -188,13 +189,13 @@ fn collectives_on_split_subcommunicators_use_local_sizes() {
     // scan + bcast; oracles and meters are per-subcommunicator.
     let p = 6usize;
     let w = 2usize;
-    let (values, meters) = run_collective(p, move |rank| {
+    let (values, meters) = run_collective(p, async move |rank| {
         let world = rank.world_comm();
         let me = rank.world_rank();
         let color = usize::from(me >= 4);
-        let sub = rank.split(&world, color as i64, me as i64).expect("member of a color");
-        let s = scan(rank, &sub, &contribution(me, w));
-        let b = bcast(rank, &sub, &contribution(100 + color, w), 0, BcastAlgo::Binomial);
+        let sub = rank.split_a(&world, color as i64, me as i64).await.expect("member of a color");
+        let s = scan_a(rank, &sub, &contribution(me, w)).await;
+        let b = bcast_a(rank, &sub, &contribution(100 + color, w), 0, BcastAlgo::Binomial).await;
         (s, b)
     });
     for (r, (s, b)) in values.iter().enumerate() {

@@ -3,8 +3,8 @@
 //! payload values — integer-valued data so results are exact.
 
 use pmm_collectives::{
-    all_gather_v, all_to_all, bcast, gather_v, reduce, reduce_scatter_v, scatter_v, AllGatherAlgo,
-    AllToAllAlgo, BcastAlgo, GatherAlgo, ReduceAlgo, ReduceScatterAlgo, ScatterAlgo,
+    all_gather_v_a, all_to_all_a, bcast_a, gather_v_a, reduce_a, reduce_scatter_v_a, scatter_v_a,
+    AllGatherAlgo, AllToAllAlgo, BcastAlgo, GatherAlgo, ReduceAlgo, ReduceScatterAlgo, ScatterAlgo,
 };
 use pmm_simnet::{MachineParams, World};
 use proptest::prelude::*;
@@ -28,10 +28,10 @@ proptest! {
         let want: Vec<f64> = (0..p).flat_map(|i| block(i, cs[i])).collect();
         for algo in [AllGatherAlgo::Ring, AllGatherAlgo::Bruck] {
             let cs2 = cs.clone();
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let comm = rank.world_comm();
                 let mine = block(rank.world_rank(), cs2[rank.world_rank()]);
-                all_gather_v(rank, &comm, &mine, &cs2, algo)
+                all_gather_v_a(rank, &comm, &mine, &cs2, algo).await
             });
             for v in &out.values {
                 prop_assert_eq!(v, &want, "{:?}", algo);
@@ -44,11 +44,11 @@ proptest! {
         let cs: Vec<usize> = (0..p).map(|i| (seed as usize + i * 3) % 5).collect();
         let total: usize = cs.iter().sum();
         let cs2 = cs.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let data: Vec<f64> =
                 (0..total).map(|e| (rank.world_rank() * total + e) as f64).collect();
             let comm = rank.world_comm();
-            reduce_scatter_v(rank, &comm, &data, &cs2, ReduceScatterAlgo::Auto)
+            reduce_scatter_v_a(rank, &comm, &data, &cs2, ReduceScatterAlgo::Auto).await
         });
         let mut off = 0usize;
         for (r, c) in cs.iter().enumerate() {
@@ -71,11 +71,11 @@ proptest! {
         let full: Vec<f64> = (0..p).flat_map(|i| block(i, cs[i])).collect();
         let want = full.clone();
         let cs2 = cs.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let data = if rank.world_rank() == root { full.clone() } else { Vec::new() };
-            let mine = scatter_v(rank, &comm, &data, &cs2, root, ScatterAlgo::Binomial);
-            gather_v(rank, &comm, &mine, &cs2, root, GatherAlgo::Binomial)
+            let mine = scatter_v_a(rank, &comm, &data, &cs2, root, ScatterAlgo::Binomial).await;
+            gather_v_a(rank, &comm, &mine, &cs2, root, GatherAlgo::Binomial).await
         });
         prop_assert_eq!(&out.values[root], &want);
     }
@@ -85,10 +85,10 @@ proptest! {
         let root = root % p;
         let msg: Vec<f64> = (0..w).map(|e| e as f64 * 3.0).collect();
         let want = msg.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let data = if rank.world_rank() == root { msg.clone() } else { vec![0.0; w] };
-            bcast(rank, &comm, &data, root, BcastAlgo::Binomial)
+            bcast_a(rank, &comm, &data, root, BcastAlgo::Binomial).await
         });
         for v in &out.values {
             prop_assert_eq!(v, &want);
@@ -98,10 +98,10 @@ proptest! {
     #[test]
     fn reduce_to_any_root(p in 2usize..9, root in 0usize..9, w in 1usize..10) {
         let root = root % p;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let data: Vec<f64> = (0..w).map(|e| (rank.world_rank() + e) as f64).collect();
-            reduce(rank, &comm, &data, root, ReduceAlgo::Binomial)
+            reduce_a(rank, &comm, &data, root, ReduceAlgo::Binomial).await
         });
         let sum_r = (p * (p - 1) / 2) as f64;
         let want: Vec<f64> = (0..w).map(|e| sum_r + (p * e) as f64).collect();
@@ -115,12 +115,12 @@ proptest! {
 
     #[test]
     fn all_to_all_is_a_transpose(p in 2usize..9, w in 1usize..6) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let me = rank.world_rank();
             let data: Vec<f64> =
                 (0..p).flat_map(|d| std::iter::repeat_n((me * p + d) as f64, w)).collect();
             let comm = rank.world_comm();
-            all_to_all(rank, &comm, &data, AllToAllAlgo::Pairwise)
+            all_to_all_a(rank, &comm, &data, AllToAllAlgo::Pairwise).await
         });
         for (r, v) in out.values.iter().enumerate() {
             let want: Vec<f64> =
@@ -134,7 +134,7 @@ proptest! {
         p in 2usize..10,
         w in 1usize..24,
     ) {
-        use pmm_collectives::{costs, all_gather, reduce_scatter, all_reduce, barrier};
+        use pmm_collectives::{costs, all_gather_a, reduce_scatter_a, all_reduce_a, barrier_a};
         use pmm_collectives::AllReduceAlgo;
 
         // All-Gather (every algorithm valid at this p).
@@ -143,9 +143,9 @@ proptest! {
             algos.push(AllGatherAlgo::RecursiveDoubling);
         }
         for algo in algos {
-            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+            let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
                 let comm = rank.world_comm();
-                all_gather(rank, &comm, &vec![1.0; w], algo);
+                all_gather_a(rank, &comm, &vec![1.0; w], algo).await;
                 rank.time()
             });
             let model = costs::all_gather_cost(algo, p, w);
@@ -158,9 +158,9 @@ proptest! {
         }
 
         // Reduce-Scatter (auto) — words and flops.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            reduce_scatter(rank, &comm, &vec![1.0; p * w], ReduceScatterAlgo::Auto);
+            reduce_scatter_a(rank, &comm, &vec![1.0; p * w], ReduceScatterAlgo::Auto).await;
             (rank.time(), rank.meter().flops)
         });
         let model = costs::reduce_scatter_cost(ReduceScatterAlgo::Auto, p, w);
@@ -171,9 +171,9 @@ proptest! {
 
         // All-Reduce Rabenseifner when p | total (always true here).
         let total = p * w;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            all_reduce(rank, &comm, &vec![1.0; total], AllReduceAlgo::ReduceScatterAllGather);
+            all_reduce_a(rank, &comm, &vec![1.0; total], AllReduceAlgo::ReduceScatterAllGather).await;
             rank.time()
         });
         let model = costs::all_reduce_cost(AllReduceAlgo::ReduceScatterAllGather, p, total);
@@ -182,9 +182,9 @@ proptest! {
         }
 
         // Barrier: latency only.
-        let out = World::new(p, MachineParams::new(1.0, 1.0, 1.0)).run(|rank| {
+        let out = World::new(p, MachineParams::new(1.0, 1.0, 1.0)).run(async |rank| {
             let comm = rank.world_comm();
-            barrier(rank, &comm);
+            barrier_a(rank, &comm).await;
             rank.time()
         });
         let model = costs::barrier_cost(p);
@@ -196,12 +196,12 @@ proptest! {
     #[test]
     fn conservation_of_words_across_any_collective(p in 2usize..8, w in 1usize..10) {
         // Whatever the collective, globally sent == received.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let mine = vec![1.0; w];
-            all_gather_v(rank, &comm, &mine, &vec![w; p], AllGatherAlgo::Ring);
+            all_gather_v_a(rank, &comm, &mine, &vec![w; p], AllGatherAlgo::Ring).await;
             let data = vec![1.0; p * w];
-            reduce_scatter_v(rank, &comm, &data, &vec![w; p], ReduceScatterAlgo::Auto);
+            reduce_scatter_v_a(rank, &comm, &data, &vec![w; p], ReduceScatterAlgo::Auto).await;
             rank.meter()
         });
         let sent: u64 = out.values.iter().map(|m| m.words_sent).sum();

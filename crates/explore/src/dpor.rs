@@ -186,8 +186,7 @@ pub fn explore_outcomes<T, F, C>(
     on_schedule: C,
 ) -> Result<ExploreReport, ScheduleFailure>
 where
-    T: Send,
-    F: Fn(&mut Rank) -> T + Send + Sync,
+    F: AsyncFn(&mut Rank) -> T,
     C: FnMut(&[usize], ScheduleOutcome<'_, T>) -> Result<(), String>,
 {
     explore_with_runner(
@@ -197,41 +196,15 @@ where
     )
 }
 
-/// [`explore_outcomes`] for **async** rank programs: every explored
-/// schedule runs through [`World::run_async`] on the world's resolved
-/// engine, so the same DPOR walk certifies the event-loop engine (or the
-/// thread backend under [`World::with_engine`]). The choice tree is
-/// engine-independent — both engines drive the identical deterministic
-/// scheduler — so certificates (schedule counts) carry across engines.
-pub fn explore_outcomes_async<T, F, C>(
-    world: &World,
-    program: F,
-    cfg: &ExploreConfig,
-    on_schedule: C,
-) -> Result<ExploreReport, ScheduleFailure>
-where
-    T: Send,
-    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
-    C: FnMut(&[usize], ScheduleOutcome<'_, T>) -> Result<(), String>,
-{
-    explore_with_runner(
-        cfg,
-        |prefix| world.clone().with_schedule(Schedule::Prefix(prefix)).try_run_async(&program),
-        on_schedule,
-    )
-}
-
-/// The engine-agnostic DPOR walk: `run_prefix` executes one world run
-/// under a given choice prefix (sync or async backend — the walk only
-/// sees the [`WorldResult`] / [`RunFailure`] artifacts, which both
-/// engines produce identically).
+/// The DPOR walk: `run_prefix` executes one world run under a given
+/// choice prefix; the walk only sees its [`WorldResult`] / [`RunFailure`]
+/// artifacts.
 fn explore_with_runner<T, R, C>(
     cfg: &ExploreConfig,
     run_prefix: R,
     mut on_schedule: C,
 ) -> Result<ExploreReport, ScheduleFailure>
 where
-    T: Send,
     R: Fn(Vec<usize>) -> Result<WorldResult<T>, RunFailure>,
     C: FnMut(&[usize], ScheduleOutcome<'_, T>) -> Result<(), String>,
 {
@@ -462,8 +435,8 @@ pub fn explore_checked<T, F, C>(
     mut check: C,
 ) -> Result<ExploreReport, ScheduleFailure>
 where
-    T: Send + PartialEq + std::fmt::Debug,
-    F: Fn(&mut Rank) -> T + Send + Sync,
+    T: PartialEq + std::fmt::Debug,
+    F: AsyncFn(&mut Rank) -> T,
     C: FnMut(&WorldResult<T>) -> Result<(), String>,
 {
     let mut indep = IndependenceChecker::default();
@@ -474,39 +447,21 @@ where
     })
 }
 
-/// [`explore_checked`] for async rank programs (see
-/// [`explore_outcomes_async`]).
+/// [`explore_checked`] for a boxing closure. Kept only because the
+/// benchmark in `perfbench/`, frozen between benchmark changes, calls it;
+/// delete it with the next change to the benchmark.
 pub fn explore_checked_async<T, F, C>(
     world: &World,
     program: F,
     cfg: &ExploreConfig,
-    mut check: C,
+    check: C,
 ) -> Result<ExploreReport, ScheduleFailure>
 where
-    T: Send + PartialEq + std::fmt::Debug,
-    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
+    T: PartialEq + std::fmt::Debug,
+    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T>,
     C: FnMut(&WorldResult<T>) -> Result<(), String>,
 {
-    let mut indep = IndependenceChecker::default();
-    explore_outcomes_async(world, program, cfg, |_choices, outcome| {
-        let out = outcome.map_err(|fail| format!("schedule fails: {}", fail.report))?;
-        indep.check(out)?;
-        check(out)
-    })
-}
-
-/// [`explore`] for async rank programs: schedule-independence and
-/// failure-freedom over the world's resolved engine.
-pub fn explore_async<T, F>(
-    world: &World,
-    program: F,
-    cfg: &ExploreConfig,
-) -> Result<ExploreReport, ScheduleFailure>
-where
-    T: Send + PartialEq + std::fmt::Debug,
-    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
-{
-    explore_checked_async(world, program, cfg, |_| Ok(()))
+    explore_checked(world, async |rank| program(rank).await, cfg, check)
 }
 
 /// [`explore_checked`] with no extra oracle: schedule-independence and
@@ -517,8 +472,8 @@ pub fn explore<T, F>(
     cfg: &ExploreConfig,
 ) -> Result<ExploreReport, ScheduleFailure>
 where
-    T: Send + PartialEq + std::fmt::Debug,
-    F: Fn(&mut Rank) -> T + Send + Sync,
+    T: PartialEq + std::fmt::Debug,
+    F: AsyncFn(&mut Rank) -> T,
 {
     explore_checked(world, program, cfg, |_| Ok(()))
 }

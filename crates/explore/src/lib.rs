@@ -29,11 +29,11 @@
 //! let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
 //! let report = explore(
 //!     &world,
-//!     |rank| {
+//!     async |rank| {
 //!         let comm = rank.world_comm();
 //!         let me = rank.world_rank();
 //!         let n = comm.size();
-//!         let msg = rank.exchange(&comm, (me + 1) % n, (me + n - 1) % n, &[me as f64]);
+//!         let msg = rank.exchange_a(&comm, (me + 1) % n, (me + n - 1) % n, &[me as f64]).await;
 //!         msg.payload[0]
 //!     },
 //!     &ExploreConfig::exhaustive(),
@@ -52,9 +52,8 @@ pub mod dpor;
 pub mod synth;
 
 pub use dpor::{
-    explore, explore_async, explore_checked, explore_checked_async, explore_outcomes,
-    explore_outcomes_async, ExploreConfig, ExploreReport, ScheduleFailure, ScheduleOutcome,
-    Strategy,
+    explore, explore_checked, explore_checked_async, explore_outcomes, ExploreConfig,
+    ExploreReport, ScheduleFailure, ScheduleOutcome, Strategy,
 };
 pub use synth::{
     generate, interpret, run_generated, soak, verdict, world_for, GStep, GenOutcome, GenProgram,

@@ -249,7 +249,7 @@ pub fn generate(seed: u64) -> GenProgram {
 
 /// Interpret `steps` over `comm`, returning a checksum of received
 /// payloads (so results are comparable across schedules).
-fn run_steps(rank: &mut Rank, comm: &Comm, steps: &[GStep]) -> f64 {
+async fn run_steps(rank: &mut Rank, comm: &Comm, steps: &[GStep]) -> f64 {
     let me = comm.index();
     let n = comm.size();
     let mut acc = 0.0;
@@ -261,7 +261,8 @@ fn run_steps(rank: &mut Rank, comm: &Comm, steps: &[GStep]) -> f64 {
                     let to = (me + 1) % n;
                     let from = (me + n - 1) % n;
                     let payload = vec![me as f64 + 1.0; *words];
-                    acc += rank.exchange(comm, to, from, &payload).payload.iter().sum::<f64>();
+                    acc +=
+                        rank.exchange_a(comm, to, from, &payload).await.payload.iter().sum::<f64>();
                 }
             }
             GStep::GatherToRoot { root, words, skip_sender } => {
@@ -271,46 +272,46 @@ fn run_steps(rank: &mut Rank, comm: &Comm, steps: &[GStep]) -> f64 {
                     // skipped sender, whose missing message is the
                     // injected deadlock.
                     for from in (0..n).filter(|f| *f != root) {
-                        acc += rank.recv(comm, from).payload.iter().sum::<f64>();
+                        acc += rank.recv_a(comm, from).await.payload.iter().sum::<f64>();
                     }
                 } else if *skip_sender != Some(me) {
-                    rank.send(comm, root, &vec![me as f64 + 1.0; *words]);
+                    rank.send_a(comm, root, &vec![me as f64 + 1.0; *words]).await;
                 }
             }
             GStep::PairExchange { words } => {
                 let partner = if me.is_multiple_of(2) { me + 1 } else { me - 1 };
                 if partner < n {
                     let payload = vec![me as f64 + 1.0; *words];
-                    acc +=
-                        rank.exchange(comm, partner, partner, &payload).payload.iter().sum::<f64>();
+                    let msg = rank.exchange_a(comm, partner, partner, &payload).await;
+                    acc += msg.payload.iter().sum::<f64>();
                 }
             }
             GStep::Register { op, elems, odd_one } => match odd_one {
                 Some((victim, vop, velems)) if *victim % n == me => {
-                    rank.collective_begin(comm, *vop, *velems);
+                    rank.collective_begin_a(comm, *vop, *velems).await;
                 }
-                _ => rank.collective_begin(comm, *op, *elems),
+                _ => rank.collective_begin_a(comm, *op, *elems).await,
             },
-            GStep::Barrier => rank.hard_sync(),
+            GStep::Barrier => rank.hard_sync_a().await,
             GStep::SplitPhase { steps, disorder } => {
                 if n < 2 {
-                    acc += run_steps(rank, comm, steps);
+                    acc += Box::pin(run_steps(rank, comm, steps)).await;
                     continue;
                 }
                 if *disorder && me == 0 {
-                    rank.collective_begin(comm, CollectiveOp::AllReduce, 8);
+                    rank.collective_begin_a(comm, CollectiveOp::AllReduce, 8).await;
                 }
-                let sub = rank.split(comm, (me % 2) as i64, me as i64);
+                let sub = rank.split_a(comm, (me % 2) as i64, me as i64).await;
                 if *disorder && me != 0 {
-                    rank.collective_begin(comm, CollectiveOp::AllReduce, 8);
+                    rank.collective_begin_a(comm, CollectiveOp::AllReduce, 8).await;
                 }
                 if let Some(sub) = sub {
-                    acc += run_steps(rank, &sub, steps);
+                    acc += Box::pin(run_steps(rank, &sub, steps)).await;
                 }
             }
             GStep::OrphanSend { words } => {
                 if n >= 2 && me == n - 1 {
-                    rank.send(comm, 0, &vec![1.0; *words]);
+                    rank.send_a(comm, 0, &vec![1.0; *words]).await;
                 }
             }
         }
@@ -320,9 +321,9 @@ fn run_steps(rank: &mut Rank, comm: &Comm, steps: &[GStep]) -> f64 {
 
 /// Run `prog` as an SPMD program on a rank (the entry point handed to
 /// [`World::run`] / the explorer).
-pub fn interpret(prog: &GenProgram, rank: &mut Rank) -> f64 {
+pub async fn interpret(prog: &GenProgram, rank: &mut Rank) -> f64 {
     let world = rank.world_comm();
-    run_steps(rank, &world, &prog.steps)
+    run_steps(rank, &world, &prog.steps).await
 }
 
 /// Build the world a generated program is meant to run under: the
@@ -331,7 +332,6 @@ pub fn interpret(prog: &GenProgram, rank: &mut Rank) -> f64 {
 /// duplicates may legitimately linger), and the program's fault plan.
 pub fn world_for(prog: &GenProgram) -> World {
     let mut world = World::new(prog.world_size, MachineParams::BANDWIDTH_ONLY)
-        .without_watchdog()
         .with_schedule(Schedule::Seeded(prog.seed))
         .with_strict_drain(prog.faults.is_none());
     if let Some(plan) = &prog.faults {
@@ -350,7 +350,7 @@ pub struct GenOutcome {
 /// Execute `prog` once under [`world_for`] and capture whether any check
 /// flagged it.
 pub fn run_generated(prog: &GenProgram) -> GenOutcome {
-    match world_for(prog).try_run(|rank| interpret(prog, rank)) {
+    match world_for(prog).try_run(async |rank| interpret(prog, rank).await) {
         Ok(_) => GenOutcome { flagged: None },
         Err(failure) => GenOutcome { flagged: Some(failure.report) },
     }

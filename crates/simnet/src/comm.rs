@@ -7,29 +7,28 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use crate::fabric::Ctx;
 
 /// A communicator: an ordered group of world ranks sharing a context.
 ///
 /// Indices *within* the communicator (`0..size()`) are the addressing used
-/// by [`Rank::send`](crate::Rank::send) and friends, exactly like MPI
+/// by [`Rank::send_a`](crate::Rank::send_a) and friends, exactly like MPI
 /// ranks within a sub-communicator.
 #[derive(Clone)]
 pub struct Comm {
     pub(crate) ctx: Ctx,
     /// World ranks of the members, in communicator order.
-    pub(crate) members: Arc<Vec<usize>>,
+    pub(crate) members: Rc<Vec<usize>>,
     /// This rank's index within `members`.
     pub(crate) my_index: usize,
-    /// Per-thread counter so successive splits on the same parent rendezvous
+    /// Per-rank counter so successive splits on the same parent rendezvous
     /// correctly (all members must issue splits in the same order).
     pub(crate) split_seq: Rc<Cell<u64>>,
 }
 
 impl Comm {
-    pub(crate) fn new(ctx: Ctx, members: Arc<Vec<usize>>, my_index: usize) -> Comm {
+    pub(crate) fn new(ctx: Ctx, members: Rc<Vec<usize>>, my_index: usize) -> Comm {
         debug_assert!(my_index < members.len());
         Comm { ctx, members, my_index, split_seq: Rc::new(Cell::new(0)) }
     }

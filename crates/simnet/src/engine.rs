@@ -1,155 +1,44 @@
-//! Execution engines: the event-driven continuation core and the legacy
-//! thread pool.
+//! Names kept only for the benchmark in `perfbench/`.
 //!
-//! A [`World`](crate::World) can execute a rank program on one of two
-//! engines:
-//!
-//! - [`Engine::EventLoop`] — the primary engine. Every rank is a
-//!   resumable continuation (a plain Rust future) stored in a slab; a
-//!   single-threaded event loop polls exactly the rank that holds the
-//!   scheduler baton, so a world of P ranks costs P futures, not P OS
-//!   threads, and worlds of 10^5–10^6 ranks execute for real instead of
-//!   falling back to closed-form cost models.
-//! - [`Engine::Threads`] — the seed-era backend: one OS thread per rank,
-//!   parked on condvars at blocking points. Retained for differential
-//!   testing and for sync closures that cannot suspend.
-//!
-//! Both engines drive the *same* deterministic scheduler
-//! (`SchedInner` in `fabric.rs`): picks, `SchedEvent` logs,
-//! `ChoicePoint`s, meters, and simulated clocks are byte-identical
-//! across engines for the same `Schedule`. The async rank primitives
-//! (`Rank::recv_a` etc.) check the engine at runtime: on the thread
-//! backend they delegate to the blocking sync implementations inside a
-//! single poll, so one source of truth serves both engines.
-//!
-//! Engine selection: explicit [`World::with_engine`](crate::World::with_engine)
-//! beats the [`ENGINE_ENV`] (`PMM_ENGINE`) environment variable, which
-//! beats the default ([`Engine::EventLoop`] for async programs;
-//! sync-closure `run`/`try_run` always use threads because a sync
-//! closure cannot suspend).
+//! Every world runs on the one engine, the event loop of
+//! [`World::run`]. The benchmark's sources are frozen between benchmark
+//! changes, and they still name an engine choice, a watchdog switch, and
+//! the boxing-closure runner. The items here keep those calls compiling
+//! and forward them to the single engine; delete them together with the
+//! next change to the benchmark.
 
-use std::fmt;
-use std::future::Future;
-use std::pin::Pin;
-use std::str::FromStr;
-use std::task::{Context, Poll, Waker};
+use crate::rank::Rank;
+use crate::world::{World, WorldResult};
+use crate::LocalBoxFuture;
 
-/// Environment variable selecting the execution engine
-/// (`threads` or `event-loop`). Overridden by
-/// [`World::with_engine`](crate::World::with_engine).
-pub const ENGINE_ENV: &str = "PMM_ENGINE";
-
-/// Which backend executes rank programs. See the [module docs](self).
+/// The execution engine. There is one: the single-threaded
+/// deterministic event loop over rank continuations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// One OS thread per rank (the seed-era backend).
-    Threads,
-    /// Single-threaded deterministic event loop over rank continuations
-    /// (the primary engine).
+    /// Single-threaded deterministic event loop (the only engine).
     EventLoop,
 }
 
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Engine::Threads => f.write_str("threads"),
-            Engine::EventLoop => f.write_str("event-loop"),
-        }
-    }
-}
-
-impl FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "threads" | "thread" => Ok(Engine::Threads),
-            "event-loop" | "eventloop" | "event_loop" | "event" | "loop" => Ok(Engine::EventLoop),
-            other => Err(format!(
-                "unrecognized engine {other:?}: expected \"threads\" or \"event-loop\""
-            )),
-        }
-    }
-}
-
-/// Resolve the engine from [`ENGINE_ENV`], falling back to `default`.
-/// Malformed values fall back to `default` (matching
-/// [`seed_from_env`](crate::seed_from_env)'s forgiving behavior).
-pub fn engine_from_env(default: Engine) -> Engine {
-    match std::env::var(ENGINE_ENV) {
-        Ok(s) => s.parse().unwrap_or(default),
-        Err(_) => default,
-    }
-}
-
-/// A boxed, possibly non-`Send` future borrowing its rank — the shape of
-/// an async rank program. `Rank` handles are deliberately not `Send`
-/// across awaits on the event engine, so this is the local (non-`Send`)
-/// analogue of the usual boxed-future alias.
-pub type LocalBoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
-
-/// Drive `fut` to completion in a single poll.
-///
-/// This is how every sync wrapper (e.g. [`Rank::recv`](crate::Rank::recv)
-/// wrapping `recv_a`) executes its async body on the thread backend: on
-/// `Engine::Threads` the async primitives block *inside* `poll` (they
-/// delegate to the condvar-based sync paths) and therefore always
-/// complete in one poll.
-///
-/// # Panics
-///
-/// Panics if the future suspends, which means an event-loop-only
-/// primitive was driven without the event loop — a bug in the caller.
-pub fn poll_now<F: Future>(fut: F) -> F::Output {
-    let mut fut = std::pin::pin!(fut);
-    let waker = Waker::noop();
-    let mut cx = Context::from_waker(waker);
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(v) => v,
-        Poll::Pending => panic!(
-            "pmm-engine: future suspended outside the event loop \
-             (sync wrapper invoked while Engine::EventLoop is active; \
-             use the async `_a` form of this primitive)"
-        ),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_parses_aliases() {
-        assert_eq!("threads".parse::<Engine>().unwrap(), Engine::Threads);
-        assert_eq!("thread".parse::<Engine>().unwrap(), Engine::Threads);
-        assert_eq!("event-loop".parse::<Engine>().unwrap(), Engine::EventLoop);
-        assert_eq!("Event".parse::<Engine>().unwrap(), Engine::EventLoop);
-        assert_eq!(" eventloop ".parse::<Engine>().unwrap(), Engine::EventLoop);
-        assert!("fibers".parse::<Engine>().is_err());
+impl World {
+    /// No-op: the event loop is the only engine.
+    #[must_use]
+    pub fn with_engine(self, _engine: Engine) -> World {
+        self
     }
 
-    #[test]
-    fn engine_display_round_trips() {
-        for e in [Engine::Threads, Engine::EventLoop] {
-            assert_eq!(e.to_string().parse::<Engine>().unwrap(), e);
-        }
+    /// No-op: deadlocks are found by the scheduler at pick time, with no
+    /// watchdog to turn off.
+    #[must_use]
+    pub fn without_watchdog(self) -> World {
+        self
     }
 
-    #[test]
-    fn poll_now_completes_ready_futures() {
-        assert_eq!(poll_now(async { 41 + 1 }), 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "suspended outside the event loop")]
-    fn poll_now_rejects_suspension() {
-        struct Never;
-        impl Future for Never {
-            type Output = ();
-            fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
-                Poll::Pending
-            }
-        }
-        poll_now(Never);
+    /// [`World::run`] for a boxing closure:
+    /// `world.run_async(|rank| Box::pin(async move { ... }))`.
+    pub fn run_async<T, F>(&self, program: F) -> WorldResult<T>
+    where
+        F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T>,
+    {
+        self.run(async |rank| program(rank).await)
     }
 }

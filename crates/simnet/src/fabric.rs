@@ -1,48 +1,41 @@
 //! The communication fabric shared by all ranks of a [`World`].
 //!
 //! The fabric owns, for every communicator context, one mailbox per
-//! member (a FIFO queue guarded by a mutex + condvar). Directed receive
-//! (`recv(from)`) is implemented by the receiving rank stashing
-//! out-of-order messages — messages from one sender to one receiver stay
-//! FIFO because they travel through a single queue and a FIFO stash.
+//! member (a FIFO queue). Directed receive (`recv(from)`) is implemented
+//! by the receiving rank stashing out-of-order messages — messages from
+//! one sender to one receiver stay FIFO because they travel through a
+//! single queue and a FIFO stash.
 //!
 //! The fabric also hosts the rendezvous state for **communicator splits**
 //! (the MPI `comm_split` equivalent): a split is a collective, so all
 //! members of the parent communicator deposit their `(color, key)` and the
-//! last one to arrive partitions the members into groups, allocates one
-//! fresh context per group, and wakes everyone.
+//! last one to arrive partitions the members into groups and allocates one
+//! fresh context per group.
 //!
-//! Every blocking point (mailbox receive, split rendezvous, the world
-//! barrier) is instrumented for the [`verify`](crate::verify) layer: the
-//! blocking rank registers what it waits for, waits with a short timeout
-//! so it can observe a verifier abort, and is torn down with an
-//! `AbortPanic` when the world is aborted. `Fabric::watchdog_scan`
-//! implements the deadlock detector that runs
-//! over those registrations.
-//!
-//! Lock ordering (to keep the fabric itself deadlock-free):
-//! mailbox map → mailbox queue → verify slot; splits map → split state →
-//! (state dropped) → splits map; barrier state → verify slot. The
-//! watchdog never holds a verify slot while taking a fabric lock — it
-//! snapshots the slots first.
+//! Every rank runs on one thread, as a continuation of the event loop in
+//! [`World::run`], and the deterministic scheduler here decides which rank
+//! runs next. So all fabric state is single-owner data behind `Cell` and
+//! `RefCell`. Every blocking point (mailbox receive, split rendezvous, the
+//! world barrier) registers what the rank waits for with the
+//! [`verify`](crate::verify) layer and yields the scheduler baton; when no
+//! rank is runnable while some rank is blocked, the pick that finds this
+//! proves a deadlock and aborts the world with a report.
 //!
 //! [`World`]: crate::world::World
+//! [`World::run`]: crate::world::World::run
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cell::{Cell, RefCell, RefMut};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::future::Future;
 use std::panic::Location;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{
-    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::rc::Rc;
 use std::task::{Context, Poll};
-use std::time::Duration;
 
 use crate::fault::{FaultKick, FaultPlan, FaultState, MsgMeta};
 use crate::readyset::ReadySet;
 use crate::trace::{BlockPoint, ChoicePoint, Repro, Resource, SchedEvent, Schedule, ScheduleTrace};
-use crate::verify::{lock_unpoisoned, CollectiveOp, SlotView, VerifyState, WaitInfo, WaitKind};
+use crate::verify::{CollectiveOp, VerifyState, WaitInfo, WaitKind};
 
 /// Identifier of a communicator context. Every communicator created during
 /// a run has a distinct context, so traffic on different communicators can
@@ -52,27 +45,13 @@ pub type Ctx = u64;
 /// Context id of the world communicator (created by [`Fabric::new`]).
 pub(crate) const WORLD_CTX: Ctx = 0;
 
-/// How often a blocked primitive re-checks the abort flag. Waits are
-/// condvar-notified, so this only bounds the wake-up delay if a
-/// notification is missed — it is not a busy-wait interval.
-const ABORT_POLL: Duration = Duration::from_millis(100);
-
 /// Largest world for which barrier/split waits record their full
 /// `waiting_on` rank lists. Building the list is O(P) per blocked
 /// arrival and storing it O(P) per waiter — an O(P^2) time/memory term —
-/// so past this size waits record an empty list. Deadlock detection on
-/// the event-loop engine is counter-based and does not consult the
-/// lists; only report verbosity (and the thread-backend watchdog's
-/// wait-for edges, irrelevant at thread-impossible P) degrades.
+/// so past this size waits record an empty list. Deadlock detection is
+/// counter-based and does not consult the lists; only report verbosity
+/// degrades.
 const WAIT_LIST_MAX_WORLD: usize = 4096;
-
-fn read_unpoisoned<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_unpoisoned<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A message in flight.
 #[derive(Debug, Clone)]
@@ -86,20 +65,15 @@ pub struct Message {
     pub payload: Vec<f64>,
     /// Sender's vector clock at send time (happens-before audit; see
     /// `crate::verify`).
-    pub(crate) vclock: Option<Arc<[u64]>>,
+    pub(crate) vclock: Option<Rc<[u64]>>,
     /// Reliable-delivery metadata (sequence number + checksum); present
     /// iff the world runs with a fault plan.
     pub(crate) meta: Option<MsgMeta>,
 }
 
-struct Mailbox {
-    q: Mutex<VecDeque<Message>>,
-    cv: Condvar,
-}
-
 /// Result of a communicator split for a single color.
 ///
-/// `members` is shared behind an `Arc`: the group is computed once at the
+/// `members` is shared behind an `Rc`: the group is computed once at the
 /// rendezvous and every member's `Comm` points at the same vector, so a
 /// world-sized split costs one member list per *group*, not one per rank
 /// (an O(P^2) memory term at 10^5–10^6 ranks otherwise).
@@ -107,7 +81,7 @@ struct Mailbox {
 pub(crate) struct SplitGroup {
     pub ctx: Ctx,
     /// World ranks of the members, ordered by `(key, parent index)`.
-    pub members: Arc<Vec<usize>>,
+    pub members: Rc<Vec<usize>>,
 }
 
 struct SplitState {
@@ -119,12 +93,7 @@ struct SplitState {
     arrived: usize,
     consumed: usize,
     /// color -> group; populated by the last live rank to arrive.
-    result: Option<Arc<HashMap<i64, SplitGroup>>>,
-}
-
-struct SplitCell {
-    state: Mutex<SplitState>,
-    cv: Condvar,
+    result: Option<Rc<HashMap<i64, SplitGroup>>>,
 }
 
 struct BarrierState {
@@ -134,9 +103,17 @@ struct BarrierState {
     generation: u64,
 }
 
-struct BarrierCell {
-    st: Mutex<BarrierState>,
-    cv: Condvar,
+impl BarrierState {
+    /// Open the next generation once every rank has arrived.
+    fn release_if_full(&mut self) -> bool {
+        let full = self.count == self.arrived.len() && self.count > 0;
+        if full {
+            self.count = 0;
+            self.arrived.iter_mut().for_each(|a| *a = false);
+            self.generation += 1;
+        }
+        full
+    }
 }
 
 /// SplitMix64 step — the scheduler's tie-breaking PRNG, also the mixer
@@ -153,8 +130,6 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 /// A rank's state in the deterministic scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RankStatus {
-    /// Thread not yet started; nobody runs until all ranks attach.
-    NotAttached,
     /// Runnable (or currently running, when it also holds the baton).
     Ready,
     /// Parked at a blocking point whose condition was unmet when checked.
@@ -163,7 +138,15 @@ enum RankStatus {
     Done,
 }
 
+/// Cooperative deterministic scheduler. Exactly one rank runs at a time;
+/// the baton changes hands at every blocking point and at every send /
+/// collective entry. Ties among runnable ranks are resolved by the
+/// [`Schedule`]: a [`splitmix64`] draw when seeded, or by following a
+/// recorded choice prefix (then always picking the smallest runnable rank
+/// — the *canonical completion*) when replaying. A world built without a
+/// schedule runs the canonical completion from its first pick.
 struct SchedInner {
+    schedule: Schedule,
     /// SplitMix64 state, seeded from the schedule seed (untouched in
     /// prefix-replay mode).
     rng: u64,
@@ -171,17 +154,16 @@ struct SchedInner {
     /// [`Schedule::Prefix`]; counts picks either way.
     cursor: usize,
     status: Vec<RankStatus>,
-    attached: usize,
     /// The rank holding the execution baton, if any.
     current: Option<usize>,
     /// Whether to materialize the event log and [`ChoicePoint`] stream.
     /// Off for scale runs: recording is O(picks) memory plus an O(P)
     /// runnable-set snapshot per pick.
     record: bool,
-    /// Opt-in targeted-wakeup policy: a progress event re-readies only
-    /// the ranks blocked on the touched resource instead of every
-    /// blocked rank. Changes seeded pick streams (fewer spurious
-    /// re-checks), so the default stays broadcast — golden traces and
+    /// Targeted-wakeup policy: a progress event re-readies only the
+    /// ranks blocked on the touched resource instead of every blocked
+    /// rank. Changes seeded pick streams (fewer spurious re-checks), so
+    /// seeded and prefix worlds default to broadcast — golden traces and
     /// DPOR certificates pin the broadcast schedules.
     targeted: bool,
     /// Order-statistics mirror of the `Ready` entries of `status`;
@@ -189,8 +171,6 @@ struct SchedInner {
     ready: ReadySet,
     /// Number of `Blocked` entries of `status`.
     blocked: usize,
-    /// Number of `NotAttached` entries of `status`.
-    not_attached: usize,
     /// Broadcast-policy wake list: every currently-blocked rank, drained
     /// on each progress event (amortized O(1) per block, where scanning
     /// `status` would be O(P) per post).
@@ -200,7 +180,7 @@ struct SchedInner {
     blocked_on: Vec<Option<Resource>>,
     /// Targeted-policy wake lists, keyed by blocking resource.
     waiters: HashMap<Resource, Vec<usize>>,
-    /// Totally-ordered event log (appended under this mutex).
+    /// Totally-ordered event log.
     events: Vec<SchedEvent>,
     /// First-class pick stream: one entry per scheduler pick, carrying
     /// the runnable set, the chosen rank, and (filled in as the segment
@@ -208,7 +188,54 @@ struct SchedInner {
     choices: Vec<ChoicePoint>,
 }
 
+/// What [`SchedInner::pick`] decided.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PickOutcome {
+    /// The baton was handed to a runnable rank.
+    Picked,
+    /// Nobody is runnable, but nobody is blocked either (everyone done)
+    /// — nothing to do.
+    Idle,
+    /// Provable deadlock: nobody runnable, at least one rank blocked.
+    Deadlock,
+    /// Prefix replay named a rank that is not runnable at this pick —
+    /// the prefix does not correspond to a reachable branch of this
+    /// program's schedule tree.
+    Diverged {
+        /// The rank the prefix demanded.
+        wanted: usize,
+        /// Zero-based pick index at which it diverged.
+        at: usize,
+    },
+}
+
 impl SchedInner {
+    /// Every rank starts runnable; nothing runs until the first pick.
+    fn new(n: usize, schedule: Schedule, record: bool, targeted: bool) -> SchedInner {
+        let rng = match &schedule {
+            Schedule::Seeded(seed) => *seed,
+            Schedule::Prefix(_) => 0,
+        };
+        let mut ready = ReadySet::new(n);
+        (0..n).for_each(|r| ready.insert(r));
+        SchedInner {
+            schedule,
+            rng,
+            cursor: 0,
+            status: vec![RankStatus::Ready; n],
+            current: None,
+            record,
+            targeted,
+            ready,
+            blocked: 0,
+            blocked_list: Vec::new(),
+            blocked_on: vec![None; n],
+            waiters: HashMap::new(),
+            events: Vec::new(),
+            choices: Vec::new(),
+        }
+    }
+
     fn push_event(&mut self, ev: SchedEvent) {
         if self.record {
             self.events.push(ev);
@@ -223,15 +250,17 @@ impl SchedInner {
         }
     }
 
-    fn mark_attached(&mut self, r: usize) {
-        debug_assert_eq!(self.status[r], RankStatus::NotAttached);
-        self.status[r] = RankStatus::Ready;
-        self.ready.insert(r);
-        self.not_attached -= 1;
-        self.attached += 1;
-    }
-
-    fn mark_blocked(&mut self, r: usize, key: Resource) {
+    /// Park `r` at a blocking point: log the event, charge the blocking
+    /// resource to the running segment's footprint, and release the
+    /// baton. The failed condition check *read* the blocking resource: a
+    /// reordering against whoever writes it would change what this
+    /// segment observed, so it belongs to the footprint.
+    fn block(&mut self, r: usize, point: BlockPoint) {
+        let key = match point {
+            BlockPoint::Recv { ctx, index } => Resource::Mailbox { ctx, index },
+            BlockPoint::Split { ctx, seq } => Resource::SplitCell { ctx, seq },
+            BlockPoint::Barrier { .. } => Resource::Barrier,
+        };
         debug_assert_eq!(self.status[r], RankStatus::Ready);
         self.status[r] = RankStatus::Blocked;
         self.ready.remove(r);
@@ -242,14 +271,20 @@ impl SchedInner {
         } else {
             self.blocked_list.push(r);
         }
+        self.push_event(SchedEvent::Block { rank: r, point });
+        self.touch(key);
+        if self.current == Some(r) {
+            self.current = None;
+        }
     }
 
-    fn mark_unblocked(&mut self, r: usize) {
-        debug_assert_eq!(self.status[r], RankStatus::Blocked);
-        self.status[r] = RankStatus::Ready;
-        self.ready.insert(r);
-        self.blocked -= 1;
-        self.blocked_on[r] = None;
+    fn unblock(&mut self, r: usize, key: Option<Resource>) {
+        if self.status[r] == RankStatus::Blocked && (key.is_none() || self.blocked_on[r] == key) {
+            self.status[r] = RankStatus::Ready;
+            self.ready.insert(r);
+            self.blocked -= 1;
+            self.blocked_on[r] = None;
+        }
     }
 
     fn mark_done(&mut self, r: usize) {
@@ -259,7 +294,6 @@ impl SchedInner {
                 self.blocked -= 1;
                 self.blocked_on[r] = None;
             }
-            RankStatus::NotAttached => self.not_attached -= 1,
             RankStatus::Done => {}
         }
         self.status[r] = RankStatus::Done;
@@ -271,73 +305,88 @@ impl SchedInner {
     /// in their own order preserves determinism.
     fn unblock_all(&mut self) {
         if self.targeted {
-            let waiters = std::mem::take(&mut self.waiters);
-            for (key, list) in waiters {
-                for r in list {
-                    if self.status[r] == RankStatus::Blocked && self.blocked_on[r] == Some(key) {
-                        self.mark_unblocked(r);
-                    }
-                }
+            for (key, list) in std::mem::take(&mut self.waiters) {
+                list.into_iter().for_each(|r| self.unblock(r, Some(key)));
             }
         } else {
-            let list = std::mem::take(&mut self.blocked_list);
-            for r in list {
-                if self.status[r] == RankStatus::Blocked {
-                    self.mark_unblocked(r);
-                }
-            }
+            std::mem::take(&mut self.blocked_list).into_iter().for_each(|r| self.unblock(r, None));
         }
     }
 
-    /// Re-ready only the ranks blocked on `key` (targeted policy).
-    fn unblock_key(&mut self, key: Resource) {
-        if let Some(list) = self.waiters.remove(&key) {
-            for r in list {
-                if self.status[r] == RankStatus::Blocked && self.blocked_on[r] == Some(key) {
-                    self.mark_unblocked(r);
-                }
-            }
+    /// Progress event on `key`: under the broadcast policy every blocked
+    /// rank is re-readied (what the golden traces pin); under the
+    /// targeted policy only the ranks blocked on `key` wake.
+    fn wake(&mut self, key: Resource) {
+        if !self.targeted {
+            self.unblock_all();
+        } else if let Some(list) = self.waiters.remove(&key) {
+            list.into_iter().for_each(|r| self.unblock(r, Some(key)));
         }
     }
-}
 
-/// Cooperative deterministic scheduler: present iff the world was built
-/// with [`World::with_seed`](crate::World::with_seed) or
-/// [`World::with_schedule`](crate::World::with_schedule). Exactly one
-/// rank runs at a time; the baton changes hands at every blocking point
-/// and at every send / collective entry. Ties among runnable ranks are
-/// resolved by the [`Schedule`]: a [`splitmix64`] draw when seeded, or
-/// by following a recorded choice prefix (then always picking the
-/// smallest runnable rank — the *canonical completion*) when replaying.
-/// All scheduling decisions and fabric events are appended to `events`
-/// under one mutex, so the log is totally ordered and identical
-/// `(program, schedule)` pairs replay byte-identically.
-struct DetState {
-    schedule: Schedule,
-    st: Mutex<SchedInner>,
-    cv: Condvar,
-}
+    /// Hand the baton to the next runnable rank — drawn from the seeded
+    /// PRNG, or dictated by the prefix (then the smallest runnable rank,
+    /// the canonical completion). Records the pick as a [`ChoicePoint`].
+    ///
+    /// The pick is a deterministic function of (ready set, schedule
+    /// state): `ReadySet::select(k)` is the k-th smallest runnable rank.
+    fn pick(&mut self) -> PickOutcome {
+        let count = self.ready.len();
+        if count == 0 {
+            self.current = None;
+            return if self.blocked == 0 { PickOutcome::Idle } else { PickOutcome::Deadlock };
+        }
+        let r = match &self.schedule {
+            Schedule::Seeded(_) => {
+                self.ready.select((splitmix64(&mut self.rng) % count as u64) as usize)
+            }
+            Schedule::Prefix(prefix) => match prefix.get(self.cursor) {
+                Some(&want)
+                    if want < self.status.len() && self.status[want] == RankStatus::Ready =>
+                {
+                    want
+                }
+                Some(&want) => return PickOutcome::Diverged { wanted: want, at: self.cursor },
+                None => self.ready.select(0),
+            },
+        };
+        self.cursor += 1;
+        if self.record {
+            let ready: Vec<usize> = self
+                .status
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &s)| (s == RankStatus::Ready).then_some(i))
+                .collect();
+            self.choices.push(ChoicePoint { ready, chosen: r, touched: Vec::new() });
+            self.events.push(SchedEvent::Pick { rank: r });
+        }
+        self.current = Some(r);
+        PickOutcome::Picked
+    }
 
-/// What [`Fabric::sched_pick_locked`] decided.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PickOutcome {
-    /// The baton was handed to a runnable rank.
-    Picked,
-    /// Nobody is runnable, but nobody is blocked either (everyone done
-    /// or still attaching) — nothing to do.
-    Idle,
-    /// Provable deadlock: nobody runnable, nobody attaching, at least
-    /// one rank blocked.
-    Deadlock,
-    /// Prefix replay named a rank that is not runnable at this pick —
-    /// the prefix does not correspond to a reachable branch of this
-    /// program's schedule tree.
-    Diverged {
-        /// The rank the prefix demanded.
-        wanted: usize,
-        /// Zero-based pick index at which it diverged.
-        at: usize,
-    },
+    /// The canonical replay recipe. In prefix mode the recipe names the
+    /// choices *actually made so far* when they are recorded (not just
+    /// the configured prefix), so a failure deep in the canonical
+    /// completion still replays; unrecorded runs name the configured
+    /// prefix, after which the completion is canonical anyway.
+    fn repro(&self) -> Repro {
+        match &self.schedule {
+            Schedule::Seeded(seed) => Repro::Seed(*seed),
+            Schedule::Prefix(_) if self.record => {
+                Repro::Prefix(self.choices.iter().map(|c| c.chosen).collect())
+            }
+            Schedule::Prefix(prefix) => Repro::Prefix(prefix.clone()),
+        }
+    }
+
+    fn blocked_ranks(&self) -> Vec<usize> {
+        self.status
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &s)| (s == RankStatus::Blocked).then_some(i))
+            .collect()
+    }
 }
 
 /// What a [`BatonYield`] does on its first poll (the scheduler-visible
@@ -349,15 +398,14 @@ enum YieldAction {
     Block { rank: usize, point: BlockPoint },
 }
 
-/// The one suspension point of the event-loop engine: a future whose
-/// first poll performs a scheduler yield (recording the event and
-/// handing the baton to the next pick) and which completes when the
-/// scheduler hands the baton back to `rank`.
+/// The one suspension point of the engine: a future whose first poll
+/// performs a scheduler yield (recording the event and handing the baton
+/// to the next pick) and which completes when the scheduler hands the
+/// baton back to `rank`.
 ///
 /// The executor upholds the invariant that only the rank named by the
 /// scheduler's `current` is ever polled, so a poll observing
-/// `current == Some(rank)` *is* baton possession — the async analogue of
-/// returning from `sched_wait_for_baton`, with no condvar involved.
+/// `current == Some(rank)` *is* baton possession.
 pub(crate) struct BatonYield<'f> {
     fabric: &'f Fabric,
     rank: usize,
@@ -381,69 +429,52 @@ impl Future for BatonYield<'_> {
     }
 }
 
-/// The shared fabric. One per [`World`](crate::world::World); ranks hold it
-/// behind an `Arc`.
+/// The fabric of one [`World`](crate::world::World) run; ranks hold it
+/// behind an `Rc`.
 pub struct Fabric {
-    next_ctx: AtomicU64,
-    mailboxes: RwLock<HashMap<(Ctx, usize), Arc<Mailbox>>>,
-    splits: Mutex<HashMap<(Ctx, u64), Arc<SplitCell>>>,
+    next_ctx: Cell<Ctx>,
+    mailboxes: RefCell<HashMap<(Ctx, usize), VecDeque<Message>>>,
+    splits: RefCell<HashMap<(Ctx, u64), SplitState>>,
     /// Zero-cost world barrier, for callers that need to delimit phases
     /// without perturbing the metered costs.
-    barrier: BarrierCell,
+    barrier: RefCell<BarrierState>,
     /// Communication-correctness state (wait registry, collective ledger,
     /// abort flag).
     pub(crate) verify: VerifyState,
-    /// Deterministic scheduler; `None` in free-running (default) mode.
-    det: Option<DetState>,
+    sched: RefCell<SchedInner>,
     /// Fault-injection state; `None` when the world has no fault plan
     /// (the default), in which case every fault hook is a no-op and the
     /// fabric behaves byte-identically to the pre-fault-layer code.
     fault: Option<FaultState>,
-    /// True when the single-threaded event-loop engine drives this world:
-    /// rank primitives suspend their continuation (return `Pending`) at
-    /// yield points instead of parking an OS thread on a condvar.
-    event_loop: bool,
 }
 
 impl Fabric {
-    pub(crate) fn new(world_size: usize) -> Fabric {
+    /// A fabric for `world_size` ranks scheduled by `schedule`. `record`
+    /// controls event-log/[`ChoicePoint`] materialization and `targeted`
+    /// the wake-up policy — see the `SchedInner` field docs.
+    pub(crate) fn new(
+        world_size: usize,
+        schedule: Schedule,
+        record: bool,
+        targeted: bool,
+    ) -> Fabric {
         Fabric {
-            next_ctx: AtomicU64::new(1),
-            mailboxes: RwLock::new(HashMap::new()),
-            splits: Mutex::new(HashMap::new()),
-            barrier: BarrierCell {
-                st: Mutex::new(BarrierState {
-                    arrived: vec![false; world_size],
-                    count: 0,
-                    generation: 0,
-                }),
-                cv: Condvar::new(),
-            },
+            next_ctx: Cell::new(1),
+            mailboxes: RefCell::new(HashMap::new()),
+            splits: RefCell::new(HashMap::new()),
+            barrier: RefCell::new(BarrierState {
+                arrived: vec![false; world_size],
+                count: 0,
+                generation: 0,
+            }),
             verify: VerifyState::new(world_size),
-            det: None,
+            sched: RefCell::new(SchedInner::new(world_size, schedule, record, targeted)),
             fault: None,
-            event_loop: false,
         }
     }
 
-    /// Switch this fabric into event-loop mode (see the `event_loop`
-    /// field). Requires a deterministic schedule; must run before any
-    /// rank program starts.
-    pub(crate) fn enable_event_loop(&mut self) {
-        assert!(
-            self.det.is_some(),
-            "pmm-simnet: the event-loop engine requires a deterministic schedule"
-        );
-        self.event_loop = true;
-    }
-
-    /// Whether the event-loop engine drives this world.
-    pub(crate) fn is_event_loop(&self) -> bool {
-        self.event_loop
-    }
-
     /// Attach a fault plan (validated) with its resolved decision seed.
-    /// Like [`Fabric::enable_det`], must run before any rank starts.
+    /// Must run before any rank starts.
     pub(crate) fn enable_faults(&mut self, plan: FaultPlan, seed: u64) {
         plan.validate();
         self.fault = Some(FaultState::new(plan, seed, self.verify.world_size()));
@@ -471,7 +502,7 @@ impl Fabric {
     /// Record the death of `world_rank` and propagate it: note it for the
     /// failure report, bump the fault epoch, count the corpse as arrived
     /// in the world barrier, complete any split rendezvous that was only
-    /// waiting on dead ranks, and wake every blocked primitive so
+    /// waiting on dead ranks, and re-ready every blocked rank so
     /// survivors re-check their conditions (and observe the new epoch).
     pub(crate) fn mark_rank_dead(&self, world_rank: usize, note: String) {
         let Some(fault) = &self.fault else { return };
@@ -479,55 +510,31 @@ impl Fabric {
             return;
         }
         self.verify.note_rank_failure(note);
-        {
-            let mut st = lock_unpoisoned(&self.barrier.st);
-            self.barrier_sweep_dead_locked(&mut st);
+        self.barrier_sweep_dead(&mut self.barrier.borrow_mut());
+        let mut splits = self.splits.borrow_mut();
+        let mut keys: Vec<(Ctx, u64)> = splits.keys().copied().collect();
+        keys.sort_unstable(); // deterministic ctx allocation order
+        for key in keys {
+            if let Some(st) = splits.get_mut(&key) {
+                self.split_try_complete(st);
+            }
         }
-        let cells: Vec<Arc<SplitCell>> = lock_unpoisoned(&self.splits).values().cloned().collect();
-        for cell in cells {
-            let mut st = lock_unpoisoned(&cell.state);
-            self.split_try_complete(&mut st);
-        }
-        self.wake_all_primitives();
-        self.sched_unblock_all();
+        drop(splits);
+        self.sched.borrow_mut().unblock_all();
     }
 
     /// Mark every dead, not-yet-arrived rank as arrived in the current
     /// barrier generation; release the barrier if that completes it.
     /// No-op without a fault plan.
-    fn barrier_sweep_dead_locked(&self, st: &mut BarrierState) {
+    fn barrier_sweep_dead(&self, st: &mut BarrierState) {
         let Some(fault) = &self.fault else { return };
-        let n = st.arrived.len();
-        for r in 0..n {
+        for r in 0..st.arrived.len() {
             if !st.arrived[r] && fault.is_dead(r) {
                 st.arrived[r] = true;
                 st.count += 1;
             }
         }
-        if st.count == n && n > 0 {
-            st.count = 0;
-            st.arrived.iter_mut().for_each(|a| *a = false);
-            st.generation += 1;
-            self.barrier.cv.notify_all();
-        }
-    }
-
-    /// Notify every fabric condvar (blocked receives, split rendezvous,
-    /// the barrier, the scheduler baton) so parked ranks re-check state.
-    fn wake_all_primitives(&self) {
-        let mailboxes: Vec<Arc<Mailbox>> =
-            read_unpoisoned(&self.mailboxes).values().cloned().collect();
-        for mb in mailboxes {
-            mb.cv.notify_all();
-        }
-        let cells: Vec<Arc<SplitCell>> = lock_unpoisoned(&self.splits).values().cloned().collect();
-        for cell in cells {
-            cell.cv.notify_all();
-        }
-        self.barrier.cv.notify_all();
-        if let Some(det) = &self.det {
-            det.cv.notify_all();
-        }
+        st.release_if_full();
     }
 
     /// Whether a rank inside a failure-catching scope (watching from
@@ -547,409 +554,125 @@ impl Fabric {
         fault_watch.is_some() && (self.fault_kicked(fault_watch) || self.is_dead_rank(from_world))
     }
 
-    /// Switch this fabric into deterministic scheduling mode under a
-    /// [`Schedule`]. Must be called before any rank thread starts (the
-    /// world does this between constructing the fabric and spawning
-    /// ranks). `record` controls event-log/`ChoicePoint` materialization
-    /// and `targeted` the wake-up policy — see the `SchedInner` field
-    /// docs; `(true, false)` reproduces the seed-era behavior bit for
-    /// bit.
-    pub(crate) fn enable_schedule(&mut self, schedule: Schedule, record: bool, targeted: bool) {
-        let n = self.verify.world_size();
-        let rng = match &schedule {
-            Schedule::Seeded(seed) => *seed,
-            Schedule::Prefix(_) => 0,
-        };
-        self.det = Some(DetState {
-            schedule,
-            st: Mutex::new(SchedInner {
-                rng,
-                cursor: 0,
-                status: vec![RankStatus::NotAttached; n],
-                attached: 0,
-                current: None,
-                record,
-                targeted,
-                ready: ReadySet::new(n),
-                blocked: 0,
-                not_attached: n,
-                blocked_list: Vec::new(),
-                blocked_on: vec![None; n],
-                waiters: HashMap::new(),
-                events: Vec::new(),
-                choices: Vec::new(),
-            }),
-            cv: Condvar::new(),
-        });
+    /// The canonical replay recipe for this fabric's schedule.
+    pub(crate) fn sched_repro(&self) -> Repro {
+        self.sched.borrow().repro()
     }
 
-    /// The canonical replay recipe for this fabric's schedule, if
-    /// deterministic mode is on. In prefix mode the recipe names the
-    /// choices *actually made so far* (not just the configured prefix),
-    /// so a failure deep in the canonical completion still replays.
-    pub(crate) fn sched_repro(&self) -> Option<Repro> {
-        let det = self.det.as_ref()?;
-        let st = lock_unpoisoned(&det.st);
-        Some(Self::sched_repro_locked(det, &st))
-    }
-
-    fn sched_repro_locked(det: &DetState, st: &SchedInner) -> Repro {
-        match &det.schedule {
-            Schedule::Seeded(seed) => Repro::Seed(*seed),
-            Schedule::Prefix(_) => Repro::Prefix(st.choices.iter().map(|c| c.chosen).collect()),
-        }
-    }
-
-    /// Extract the recorded schedule trace (deterministic mode only).
+    /// Extract the recorded schedule trace, if recording is on.
     /// Prefix-replay runs report seed 0 in the trace header; their
     /// identity is the choice prefix, not a seed.
     pub(crate) fn take_sched_trace(&self) -> Option<ScheduleTrace> {
-        let det = self.det.as_ref()?;
-        let mut st = lock_unpoisoned(&det.st);
+        let mut st = self.sched.borrow_mut();
         if !st.record {
             return None;
         }
-        let seed = match &det.schedule {
+        let seed = match &st.schedule {
             Schedule::Seeded(seed) => *seed,
             Schedule::Prefix(_) => 0,
         };
         Some(ScheduleTrace { seed, events: std::mem::take(&mut st.events) })
     }
 
-    /// Extract the recorded [`ChoicePoint`] stream (deterministic mode
-    /// only).
+    /// Extract the recorded [`ChoicePoint`] stream, if recording is on.
     pub(crate) fn take_choice_points(&self) -> Option<Vec<ChoicePoint>> {
-        let det = self.det.as_ref()?;
-        let mut st = lock_unpoisoned(&det.st);
-        if !st.record {
-            return None;
-        }
-        Some(std::mem::take(&mut st.choices))
+        let mut st = self.sched.borrow_mut();
+        st.record.then(|| std::mem::take(&mut st.choices))
     }
 
     /// Record that the currently-running segment touched `res` — the
     /// resource-footprint hook behind every mailbox post/pop, split
     /// deposit, barrier arrival, and collective registration. Appends to
-    /// the latest [`ChoicePoint`] (deduplicated). No-op in free-running
-    /// mode. Callers may hold a primitive lock: the established lock
-    /// order is primitive → scheduler, never the reverse.
-    pub(crate) fn det_touch(&self, res: Resource) {
-        let Some(det) = &self.det else { return };
-        lock_unpoisoned(&det.st).touch(res);
+    /// the latest [`ChoicePoint`] (deduplicated).
+    fn touch(&self, res: Resource) {
+        self.sched.borrow_mut().touch(res);
+    }
+
+    fn wake(&self, key: Resource) {
+        self.sched.borrow_mut().wake(key);
     }
 
     // ----- deterministic scheduler ------------------------------------------
 
-    /// Rank start barrier: register this rank with the scheduler and wait
-    /// for the baton. The last rank to attach triggers the first pick, so
-    /// no program code runs before every rank is registered. No-op in
-    /// free-running mode.
-    pub(crate) fn sched_attach(&self, r: usize) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
-        st.mark_attached(r);
-        if st.attached == st.status.len() {
-            self.sched_pick_and_wait(det, st, r);
-        } else {
-            self.sched_wait_for_baton(det, st, r);
-        }
-    }
-
-    /// Event-loop analogue of per-thread [`Fabric::sched_attach`]:
-    /// register every rank at once and trigger the first pick (the same
-    /// pick, from the same PRNG state, that the last attaching thread
-    /// would have triggered). The executor then polls whichever rank
-    /// holds the baton.
-    pub(crate) fn sched_attach_all(&self) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
-        let n = st.status.len();
-        for r in 0..n {
-            st.mark_attached(r);
-        }
-        match Self::sched_pick_locked(det, &mut st) {
+    /// Make the first pick; the executor then polls whichever rank holds
+    /// the baton.
+    pub(crate) fn sched_start(&self) {
+        let mut st = self.sched.borrow_mut();
+        match st.pick() {
             PickOutcome::Picked | PickOutcome::Idle => {}
             // All ranks are ready, so the first pick cannot deadlock; a
             // prefix can still demand an out-of-range rank.
             PickOutcome::Deadlock => unreachable!("deadlock with every rank runnable"),
             PickOutcome::Diverged { wanted, at } => {
-                let report = Self::diverged_report(det, &st, wanted, at);
+                let report = Self::diverged_report(&st, wanted, at);
                 drop(st);
                 self.abort(report);
             }
         }
     }
 
-    /// Release the baton at a blocking point whose condition is unmet;
-    /// returns once this rank is picked again (the caller then re-checks
-    /// its condition and re-blocks if still unmet). Detects deadlock
-    /// synchronously: if no rank is runnable while some rank is blocked,
-    /// every blocked rank has re-checked its condition since the last
-    /// progress event (each progress event re-readies all blocked ranks),
-    /// so no wake-up can ever come — abort with a deadlock report.
-    fn sched_block(&self, r: usize, point: BlockPoint) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
-        Self::sched_block_locked(&mut st, r, point);
-        self.sched_pick_and_wait(det, st, r);
-    }
-
-    /// Shared body of the thread-backend [`Fabric::sched_block`] and the
-    /// event-loop block yield: park `r`, log the event, charge the
-    /// blocking resource to the running segment's footprint, and release
-    /// the baton. The failed condition check *read* the blocking
-    /// resource: a reordering against whoever writes it would change
-    /// what this segment observed, so it belongs to the footprint.
-    fn sched_block_locked(st: &mut SchedInner, r: usize, point: BlockPoint) {
-        let res = match point {
-            BlockPoint::Recv { ctx, index } => Resource::Mailbox { ctx, index },
-            BlockPoint::Split { ctx, seq } => Resource::SplitCell { ctx, seq },
-            BlockPoint::Barrier { .. } => Resource::Barrier,
-        };
-        st.mark_blocked(r, res);
-        st.push_event(SchedEvent::Block { rank: r, point });
-        st.touch(res);
-        if st.current == Some(r) {
-            st.current = None;
-        }
-    }
-
-    /// Re-ready every blocked rank after a progress event (message post,
-    /// split result, barrier release). The caller keeps the baton; the
-    /// re-readied ranks re-check their conditions when next picked.
-    fn sched_unblock_all(&self) {
-        let Some(det) = &self.det else { return };
-        lock_unpoisoned(&det.st).unblock_all();
-    }
-
-    /// Progress event on `key`: under the default broadcast policy every
-    /// blocked rank is re-readied (what the golden traces pin); under
-    /// the opt-in targeted policy only the ranks blocked on `key` wake.
-    fn sched_wake(&self, key: Resource) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
-        if st.targeted {
-            st.unblock_key(key);
-        } else {
-            st.unblock_all();
-        }
-    }
-
-    /// Record a message post in the schedule trace and yield the baton
-    /// (the sender stays runnable and may be re-picked immediately).
-    pub(crate) fn sched_post_event(
-        &self,
-        from_world: usize,
-        ctx: Ctx,
-        to_world: usize,
-        words: u64,
-    ) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
-        st.push_event(SchedEvent::Post { from_world, ctx, to_world, words });
-        self.sched_pick_and_wait(det, st, from_world);
-    }
-
-    /// Record a collective entry in the schedule trace and yield the
-    /// baton, exactly like [`Fabric::sched_post_event`]. The ledger
-    /// registration that precedes this call is part of the segment's
-    /// footprint.
-    pub(crate) fn sched_collective_event(
-        &self,
-        rank: usize,
-        ctx: Ctx,
-        op: CollectiveOp,
-        elems: u64,
-    ) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
-        st.push_event(SchedEvent::Collective { rank, ctx, op, elems });
-        st.touch(Resource::Ledger { ctx });
-        self.sched_pick_and_wait(det, st, rank);
-    }
-
-    /// Retire this rank from the scheduler (called from the world's rank
-    /// teardown guard, so it also runs when the program unwinds). If the
-    /// departing rank held the baton and everyone left is blocked, that
-    /// is a deadlock — abort so the blocked ranks tear down instead of
-    /// waiting on a rank that no longer exists.
+    /// Retire this rank from the scheduler once its program returned or
+    /// unwound. If the departing rank held the baton and everyone left is
+    /// blocked, that is a deadlock — abort so the blocked ranks tear down
+    /// instead of waiting on a rank that no longer exists.
     pub(crate) fn sched_finish(&self, r: usize) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
+        let mut st = self.sched.borrow_mut();
         st.mark_done(r);
         st.push_event(SchedEvent::Done { rank: r });
-        if st.current == Some(r) {
-            st.current = None;
-            if self.verify.is_aborted() {
-                det.cv.notify_all();
-                return;
-            }
-            match Self::sched_pick_locked(det, &mut st) {
-                PickOutcome::Picked | PickOutcome::Idle => {}
-                // No abort_panic on the failure arms: this may run inside
-                // a Drop while the rank is already unwinding. The blocked
-                // ranks observe the abort flag in their baton waits and
-                // tear themselves down.
-                PickOutcome::Deadlock => {
-                    let stuck: Vec<usize> = st
-                        .status
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, &s)| (s == RankStatus::Blocked).then_some(i))
-                        .collect();
-                    let repro = Self::sched_repro_locked(det, &st);
-                    drop(st);
-                    let views = self.verify.snapshot();
-                    let mut report = self.deadlock_report(&views, &stuck);
-                    report.push_str(&format!("deterministic schedule — {}\n", repro.hint()));
-                    self.abort(report);
-                }
-                PickOutcome::Diverged { wanted, at } => {
-                    let report = Self::diverged_report(det, &st, wanted, at);
-                    drop(st);
-                    self.abort(report);
-                }
-            }
+        if st.current != Some(r) {
+            return;
+        }
+        st.current = None;
+        if self.verify.is_aborted() {
+            return;
+        }
+        let outcome = st.pick();
+        if let Some(report) = self.pick_failure_report(st, outcome) {
+            self.abort(report);
         }
     }
 
-    /// Hand the baton to the next runnable rank — drawn from the seeded
-    /// PRNG, or dictated by the prefix (then the smallest runnable rank,
-    /// the canonical completion). Records the pick as a [`ChoicePoint`].
-    ///
-    /// The pick is a deterministic function of (ready set, schedule
-    /// state): `ReadySet::select(k)` is the k-th smallest runnable rank,
-    /// exactly what indexing the old ascending `ready` vector was, so
-    /// pick streams are bit-identical to the seed-era O(P)-per-pick
-    /// implementation.
-    fn sched_pick_locked(det: &DetState, st: &mut SchedInner) -> PickOutcome {
-        let count = st.ready.len();
-        if count == 0 {
-            st.current = None;
-            return if st.blocked == 0 || st.not_attached > 0 {
-                PickOutcome::Idle
-            } else {
-                PickOutcome::Deadlock
-            };
-        }
-        let r = match &det.schedule {
-            Schedule::Seeded(_) => {
-                st.ready.select((splitmix64(&mut st.rng) % count as u64) as usize)
+    /// The abort report of a failed pick (deadlock or prefix divergence),
+    /// or `None` when the pick succeeded.
+    fn pick_failure_report(
+        &self,
+        st: RefMut<'_, SchedInner>,
+        outcome: PickOutcome,
+    ) -> Option<String> {
+        match outcome {
+            PickOutcome::Picked | PickOutcome::Idle => None,
+            PickOutcome::Deadlock => {
+                let stuck = st.blocked_ranks();
+                let repro = st.repro();
+                drop(st);
+                let mut report = self.deadlock_report(&stuck);
+                report.push_str(&format!("deterministic schedule — {}\n", repro.hint()));
+                Some(report)
             }
-            Schedule::Prefix(prefix) => match prefix.get(st.cursor) {
-                Some(&want) if want < st.status.len() && st.status[want] == RankStatus::Ready => {
-                    want
-                }
-                Some(&want) => return PickOutcome::Diverged { wanted: want, at: st.cursor },
-                None => st.ready.select(0),
-            },
-        };
-        st.cursor += 1;
-        if st.record {
-            let ready: Vec<usize> = st
-                .status
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &s)| (s == RankStatus::Ready).then_some(i))
-                .collect();
-            st.choices.push(ChoicePoint { ready, chosen: r, touched: Vec::new() });
-            st.events.push(SchedEvent::Pick { rank: r });
+            PickOutcome::Diverged { wanted, at } => Some(Self::diverged_report(&st, wanted, at)),
         }
-        st.current = Some(r);
-        det.cv.notify_all();
-        PickOutcome::Picked
     }
 
     /// Build the abort report for a [`PickOutcome::Diverged`] prefix.
-    fn diverged_report(det: &DetState, st: &SchedInner, wanted: usize, at: usize) -> String {
-        let repro = Self::sched_repro_locked(det, st);
+    fn diverged_report(st: &SchedInner, wanted: usize, at: usize) -> String {
         format!(
             "pmm-simnet: schedule prefix diverged at choice #{at}: the prefix demands rank \
              {wanted}, which is not runnable there — the prefix does not name a reachable \
              branch of this program's schedule tree\n\
              choices made before the divergence: {}\n",
-            repro.hint()
+            st.repro().hint()
         )
     }
 
-    /// Shared tail of every live pick site: pick, then either wait for
-    /// the baton or — on a provable deadlock / prefix divergence — abort
-    /// the world and tear the calling rank down with an `AbortPanic`.
-    fn sched_pick_and_wait(&self, det: &DetState, mut st: MutexGuard<'_, SchedInner>, r: usize) {
-        match Self::sched_pick_locked(det, &mut st) {
-            PickOutcome::Picked | PickOutcome::Idle => self.sched_wait_for_baton(det, st, r),
-            outcome => self.sched_fail_pick(det, st, outcome, r),
-        }
-    }
-
-    /// Abort the world for a failed pick (deadlock or prefix divergence)
-    /// and tear rank `r` down with an `AbortPanic`. Shared by the
-    /// thread-backend pick sites and the event-loop yield path (where the
-    /// panic unwinds out of `poll` into the executor's `catch_unwind`).
-    fn sched_fail_pick(
-        &self,
-        det: &DetState,
-        st: MutexGuard<'_, SchedInner>,
-        outcome: PickOutcome,
-        r: usize,
-    ) -> ! {
-        match outcome {
-            PickOutcome::Picked | PickOutcome::Idle => {
-                unreachable!("sched_fail_pick on a successful pick")
-            }
-            PickOutcome::Deadlock => {
-                let stuck: Vec<usize> = st
-                    .status
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &s)| (s == RankStatus::Blocked).then_some(i))
-                    .collect();
-                let repro = Self::sched_repro_locked(det, &st);
-                drop(st);
-                let views = self.verify.snapshot();
-                let mut report = self.deadlock_report(&views, &stuck);
-                report.push_str(&format!("deterministic schedule — {}\n", repro.hint()));
-                self.abort(report);
-                self.verify.abort_panic(r)
-            }
-            PickOutcome::Diverged { wanted, at } => {
-                let report = Self::diverged_report(det, &st, wanted, at);
-                drop(st);
-                self.abort(report);
-                self.verify.abort_panic(r)
-            }
-        }
-    }
-
-    /// Park until the scheduler hands this rank the baton (or the world
-    /// aborts). The timeout only bounds abort-observation latency —
-    /// hand-offs are condvar-notified.
-    fn sched_wait_for_baton(&self, det: &DetState, mut st: MutexGuard<'_, SchedInner>, r: usize) {
-        loop {
-            if self.verify.is_aborted() {
-                drop(st);
-                self.verify.abort_panic(r);
-            }
-            if st.current == Some(r) {
-                st.status[r] = RankStatus::Ready;
-                return;
-            }
-            st = det.cv.wait_timeout(st, ABORT_POLL).unwrap_or_else(PoisonError::into_inner).0;
-        }
-    }
-
-    // ----- event-loop engine hooks ------------------------------------------
-
-    /// The rank currently holding the baton (event-loop executor's poll
-    /// target). `None` while attaching, after the last rank finishes, or
-    /// when the world aborted mid-pick.
+    /// The rank currently holding the baton (the executor's poll target).
+    /// `None` after the last rank finishes, or when the world aborted
+    /// mid-pick.
     pub(crate) fn sched_current(&self) -> Option<usize> {
-        let det = self.det.as_ref()?;
-        lock_unpoisoned(&det.st).current
+        self.sched.borrow().current
     }
 
-    /// Yield the baton after posting a message (event-loop analogue of
-    /// [`Fabric::sched_post_event`]).
+    /// Yield the baton after posting a message (the sender stays
+    /// runnable and may be re-picked immediately).
     pub(crate) fn yield_post(
         &self,
         from_world: usize,
@@ -964,8 +687,9 @@ impl Fabric {
         }
     }
 
-    /// Yield the baton after entering a collective (event-loop analogue
-    /// of [`Fabric::sched_collective_event`]).
+    /// Yield the baton after entering a collective. The ledger
+    /// registration that precedes this call is part of the segment's
+    /// footprint.
     pub(crate) fn yield_collective(
         &self,
         rank: usize,
@@ -980,20 +704,22 @@ impl Fabric {
         }
     }
 
-    /// Yield the baton at a blocking point whose condition is unmet
-    /// (event-loop analogue of [`Fabric::sched_block`]). The await
-    /// completes once this rank is picked again; the caller then
-    /// re-checks its condition and re-blocks if still unmet.
-    pub(crate) fn yield_block(&self, rank: usize, point: BlockPoint) -> BatonYield<'_> {
+    /// Yield the baton at a blocking point whose condition is unmet. The
+    /// await completes once this rank is picked again; the caller then
+    /// re-checks its condition and re-blocks if still unmet. A pick that
+    /// finds nobody runnable while some rank is blocked proves a
+    /// deadlock: every blocked rank has re-checked its condition since
+    /// the last progress event, so no wake-up can ever come.
+    fn yield_block(&self, rank: usize, point: BlockPoint) -> BatonYield<'_> {
         BatonYield { fabric: self, rank, action: Some(YieldAction::Block { rank, point }) }
     }
 
     /// First-poll action of a [`BatonYield`]: log the event, update rank
-    /// state, and hand the baton to the next pick — `sched_post_event` /
-    /// `sched_collective_event` / `sched_block` minus the condvar wait.
+    /// state, and hand the baton to the next pick. A failed pick aborts
+    /// the world and tears the yielding rank down with an `AbortPanic`,
+    /// which unwinds out of `poll` into the executor's `catch_unwind`.
     fn sched_yield_action(&self, action: YieldAction) {
-        let Some(det) = &self.det else { return };
-        let mut st = lock_unpoisoned(&det.st);
+        let mut st = self.sched.borrow_mut();
         let r = match action {
             YieldAction::Post { from_world, ctx, to_world, words } => {
                 st.push_event(SchedEvent::Post { from_world, ctx, to_world, words });
@@ -1005,116 +731,64 @@ impl Fabric {
                 rank
             }
             YieldAction::Block { rank, point } => {
-                Self::sched_block_locked(&mut st, rank, point);
+                st.block(rank, point);
                 rank
             }
         };
-        match Self::sched_pick_locked(det, &mut st) {
-            PickOutcome::Picked | PickOutcome::Idle => {}
-            outcome => self.sched_fail_pick(det, st, outcome, r),
+        let outcome = st.pick();
+        if let Some(report) = self.pick_failure_report(st, outcome) {
+            self.abort(report);
+            self.verify.abort_panic(r);
         }
     }
 
-    /// Event-loop poll check: does `r` hold the baton? Tears the polled
+    /// Poll check: does `r` hold the baton? Tears the polled
     /// continuation down with an `AbortPanic` if the world aborted (the
     /// executor's `catch_unwind` classifies it).
     fn sched_baton_ready(&self, r: usize) -> bool {
         if self.verify.is_aborted() {
             self.verify.abort_panic(r);
         }
-        let Some(det) = &self.det else { return true };
-        lock_unpoisoned(&det.st).current == Some(r)
+        self.sched.borrow().current == Some(r)
     }
 
-    /// Event-loop analogue of [`Fabric::take_any`]: the identical
-    /// event/footprint sequence as the deterministic branch there, but
-    /// suspending the continuation instead of parking a thread.
-    pub(crate) async fn take_any_a(
-        &self,
-        ctx: Ctx,
-        index: usize,
-        me_world: usize,
-        from_world: usize,
-        site: &'static Location<'static>,
-        fault_watch: Option<u64>,
-    ) -> Option<Message> {
-        let mb = self.mailbox(ctx, index);
-        {
-            let mut q = lock_unpoisoned(&mb.q);
-            if let Some(m) = q.pop_front() {
-                self.det_touch(Resource::Mailbox { ctx, index });
-                return Some(m);
-            }
-            if self.recv_fault_kicked(fault_watch, from_world) {
-                return None;
-            }
-        }
-        self.verify.set_wait(
-            me_world,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world, ctx_index: index },
-                ctx,
-                waiting_on: vec![from_world],
-                site,
-            },
-        );
-        loop {
-            self.yield_block(me_world, BlockPoint::Recv { ctx, index }).await;
-            let mut q = lock_unpoisoned(&mb.q);
-            if let Some(m) = q.pop_front() {
-                self.det_touch(Resource::Mailbox { ctx, index });
-                self.verify.clear_wait(me_world);
-                return Some(m);
-            }
-            if self.recv_fault_kicked(fault_watch, from_world) {
-                self.verify.clear_wait(me_world);
-                return None;
-            }
-        }
-    }
+    // ----- mailboxes --------------------------------------------------------
 
     fn alloc_ctx(&self) -> Ctx {
-        self.next_ctx.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn mailbox(&self, ctx: Ctx, index: usize) -> Arc<Mailbox> {
-        {
-            let map = read_unpoisoned(&self.mailboxes);
-            if let Some(mb) = map.get(&(ctx, index)) {
-                return mb.clone();
-            }
-        }
-        let mut map = write_unpoisoned(&self.mailboxes);
-        map.entry((ctx, index))
-            .or_insert_with(|| {
-                Arc::new(Mailbox { q: Mutex::new(VecDeque::new()), cv: Condvar::new() })
-            })
-            .clone()
+        let ctx = self.next_ctx.get();
+        self.next_ctx.set(ctx + 1);
+        ctx
     }
 
     /// Post `msg` to member `to` of context `ctx`. Never blocks (mailboxes
     /// are unbounded).
     pub(crate) fn post(&self, ctx: Ctx, to: usize, msg: Message) {
-        let mb = self.mailbox(ctx, to);
-        lock_unpoisoned(&mb.q).push_back(msg);
-        mb.cv.notify_all();
-        self.det_touch(Resource::Mailbox { ctx, index: to });
-        // A delivery is a progress event: re-ready blocked ranks so the
-        // deterministic scheduler lets them re-check their conditions.
-        self.sched_wake(Resource::Mailbox { ctx, index: to });
+        self.mailboxes.borrow_mut().entry((ctx, to)).or_default().push_back(msg);
+        let key = Resource::Mailbox { ctx, index: to };
+        self.touch(key);
+        // A delivery is a progress event: re-ready blocked ranks so they
+        // re-check their conditions.
+        self.wake(key);
     }
 
-    /// Blockingly take the next message from member `index`'s mailbox on
-    /// context `ctx` (in arrival order; directed matching is done by the
-    /// rank's stash). `from_world` is the world rank of the sender the
-    /// caller is ultimately waiting for (deadlock-report metadata).
+    fn pop(&self, ctx: Ctx, index: usize) -> Option<Message> {
+        let m = self.mailboxes.borrow_mut().get_mut(&(ctx, index))?.pop_front()?;
+        self.touch(Resource::Mailbox { ctx, index });
+        Some(m)
+    }
+
+    /// Take the next message from member `index`'s mailbox on context
+    /// `ctx` (in arrival order; directed matching is done by the rank's
+    /// stash), suspending until one arrives. `from_world` is the world
+    /// rank of the sender the caller is ultimately waiting for
+    /// (deadlock-report metadata).
     ///
     /// `fault_watch` is the caller's fault-epoch watermark when it is
     /// inside a failure-catching scope: if a rank dies while we wait
     /// (epoch moves past the watermark) the wait returns `None` — after
     /// draining anything already queued — so the caller can surface a
     /// typed failure instead of hanging on a corpse.
-    pub(crate) fn take_any(
+    pub(crate) async fn take_any(
         &self,
         ctx: Ctx,
         index: usize,
@@ -1123,10 +797,7 @@ impl Fabric {
         site: &'static Location<'static>,
         fault_watch: Option<u64>,
     ) -> Option<Message> {
-        let mb = self.mailbox(ctx, index);
-        let mut q = lock_unpoisoned(&mb.q);
-        if let Some(m) = q.pop_front() {
-            self.det_touch(Resource::Mailbox { ctx, index });
+        if let Some(m) = self.pop(ctx, index) {
             return Some(m);
         }
         if self.recv_fault_kicked(fault_watch, from_world) {
@@ -1135,36 +806,15 @@ impl Fabric {
         self.verify.set_wait(
             me_world,
             WaitInfo {
-                kind: WaitKind::Recv { from_world, ctx_index: index },
+                kind: WaitKind::Recv { from_world },
                 ctx,
                 waiting_on: vec![from_world],
                 site,
             },
         );
-        if self.det.is_some() {
-            // Deterministic mode: yield the baton instead of sleeping on
-            // the mailbox condvar; re-check after every re-pick.
-            loop {
-                drop(q);
-                self.sched_block(me_world, BlockPoint::Recv { ctx, index });
-                q = lock_unpoisoned(&mb.q);
-                if let Some(m) = q.pop_front() {
-                    self.det_touch(Resource::Mailbox { ctx, index });
-                    self.verify.clear_wait(me_world);
-                    return Some(m);
-                }
-                if self.recv_fault_kicked(fault_watch, from_world) {
-                    self.verify.clear_wait(me_world);
-                    return None;
-                }
-            }
-        }
         loop {
-            if self.verify.is_aborted() {
-                drop(q);
-                self.verify.abort_panic(me_world);
-            }
-            if let Some(m) = q.pop_front() {
+            self.yield_block(me_world, BlockPoint::Recv { ctx, index }).await;
+            if let Some(m) = self.pop(ctx, index) {
                 self.verify.clear_wait(me_world);
                 return Some(m);
             }
@@ -1172,102 +822,71 @@ impl Fabric {
                 self.verify.clear_wait(me_world);
                 return None;
             }
-            q = mb.cv.wait_timeout(q, ABORT_POLL).unwrap_or_else(PoisonError::into_inner).0;
         }
     }
 
-    /// Arrive at the barrier: sweep corpses, deposit this rank, and
-    /// either release the barrier (returns `None`, waiters woken) or
-    /// register the verify wait and return the generation to wait out.
-    /// Shared head of the sync and async [`Fabric::hard_sync`] forms.
-    fn barrier_arrive(&self, me_world: usize, site: &'static Location<'static>) -> Option<u64> {
-        let world_size = self.verify.world_size();
-        let mut st = lock_unpoisoned(&self.barrier.st);
-        // Dead ranks can never arrive; count them so survivors are not
-        // stuck waiting for a corpse (no-op without a fault plan).
-        self.barrier_sweep_dead_locked(&mut st);
-        let entered_gen = st.generation;
-        st.arrived[me_world] = true;
-        st.count += 1;
-        self.det_touch(Resource::Barrier);
-        if st.count == world_size {
-            st.count = 0;
-            st.arrived.iter_mut().for_each(|a| *a = false);
-            st.generation += 1;
-            self.barrier.cv.notify_all();
-            self.sched_wake(Resource::Barrier);
-            return None;
-        }
-        let waiting_on: Vec<usize> = if world_size > WAIT_LIST_MAX_WORLD {
-            Vec::new()
-        } else {
-            st.arrived.iter().enumerate().filter_map(|(r, &a)| (!a).then_some(r)).collect()
-        };
-        self.verify.set_wait(
-            me_world,
-            WaitInfo {
-                kind: WaitKind::Barrier { generation: entered_gen },
-                ctx: WORLD_CTX,
-                waiting_on,
-                site,
-            },
-        );
-        Some(entered_gen)
+    /// Count of messages posted but never taken, per mailbox (strict-drain
+    /// audit).
+    pub(crate) fn residual_messages(&self) -> Vec<(Ctx, usize, usize)> {
+        let mut out: Vec<(Ctx, usize, usize)> = self
+            .mailboxes
+            .borrow()
+            .iter()
+            .filter_map(|(&(ctx, index), q)| (!q.is_empty()).then_some((ctx, index, q.len())))
+            .collect();
+        out.sort_unstable();
+        out
     }
+
+    // ----- barrier ----------------------------------------------------------
 
     /// Zero-cost synchronization of all world ranks (not metered; test and
     /// phase-delimiting use only).
-    pub(crate) fn hard_sync(&self, me_world: usize, site: &'static Location<'static>) {
-        if self.verify.world_size() <= 1 || self.is_dead_rank(me_world) {
+    pub(crate) async fn hard_sync(&self, me_world: usize, site: &'static Location<'static>) {
+        let world_size = self.verify.world_size();
+        if world_size <= 1 || self.is_dead_rank(me_world) {
             return;
         }
-        let Some(entered_gen) = self.barrier_arrive(me_world, site) else { return };
-        let mut st = lock_unpoisoned(&self.barrier.st);
-        if self.det.is_some() {
-            while st.generation == entered_gen {
+        let entered_gen = {
+            let mut st = self.barrier.borrow_mut();
+            // Dead ranks can never arrive; count them so survivors are not
+            // stuck waiting for a corpse (no-op without a fault plan).
+            self.barrier_sweep_dead(&mut st);
+            let entered_gen = st.generation;
+            st.arrived[me_world] = true;
+            st.count += 1;
+            self.touch(Resource::Barrier);
+            if st.release_if_full() {
                 drop(st);
-                self.sched_block(me_world, BlockPoint::Barrier { generation: entered_gen });
-                st = lock_unpoisoned(&self.barrier.st);
+                self.wake(Resource::Barrier);
+                return;
             }
-            self.verify.clear_wait(me_world);
-            return;
-        }
-        while st.generation == entered_gen {
-            if self.verify.is_aborted() {
-                drop(st);
-                self.verify.abort_panic(me_world);
-            }
-            st = self
-                .barrier
-                .cv
-                .wait_timeout(st, ABORT_POLL)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        self.verify.clear_wait(me_world);
-    }
-
-    /// Event-loop analogue of [`Fabric::hard_sync`]: identical arrival,
-    /// event, and wake sequence, suspending instead of parking.
-    pub(crate) async fn hard_sync_a(&self, me_world: usize, site: &'static Location<'static>) {
-        if self.verify.world_size() <= 1 || self.is_dead_rank(me_world) {
-            return;
-        }
-        let Some(entered_gen) = self.barrier_arrive(me_world, site) else { return };
+            let waiting_on: Vec<usize> = if world_size > WAIT_LIST_MAX_WORLD {
+                Vec::new()
+            } else {
+                st.arrived.iter().enumerate().filter_map(|(r, &a)| (!a).then_some(r)).collect()
+            };
+            self.verify.set_wait(
+                me_world,
+                WaitInfo { kind: WaitKind::Barrier, ctx: WORLD_CTX, waiting_on, site },
+            );
+            entered_gen
+        };
         loop {
             self.yield_block(me_world, BlockPoint::Barrier { generation: entered_gen }).await;
-            if lock_unpoisoned(&self.barrier.st).generation != entered_gen {
+            if self.barrier.borrow().generation != entered_gen {
                 break;
             }
         }
         self.verify.clear_wait(me_world);
     }
 
+    // ----- communicator splits ----------------------------------------------
+
     /// Complete a split rendezvous if every still-alive parent member has
     /// deposited (with at least one deposit): partition the deposited
     /// entries into groups and allocate their contexts. Without a fault
-    /// plan "every alive member" is "every member", which is exactly the
-    /// pre-fault-layer completion rule. Notifies waiters on completion.
+    /// plan "every alive member" is "every member".
     fn split_try_complete(&self, st: &mut SplitState) {
         if st.result.is_some() {
             return;
@@ -1280,7 +899,8 @@ impl Fabric {
         if st.arrived == 0 || !all_live_arrived {
             return;
         }
-        let mut by_color: HashMap<i64, Vec<(i64, usize, usize)>> = HashMap::new();
+        // Ordered by color: deterministic ctx assignment.
+        let mut by_color: BTreeMap<i64, Vec<(i64, usize, usize)>> = BTreeMap::new();
         for (parent_idx, e) in st.entries.iter().enumerate() {
             // Entries of dead members stay `None` and simply do not join
             // any group — the survivors' groups shrink around them.
@@ -1290,17 +910,12 @@ impl Fabric {
             }
         }
         let mut groups = HashMap::new();
-        let mut colors: Vec<i64> = by_color.keys().copied().collect();
-        colors.sort_unstable(); // deterministic ctx assignment
-        for c in colors {
-            let mut v = by_color.remove(&c).unwrap_or_else(|| {
-                panic!("split rendezvous: color {c} vanished while grouping — fabric bug")
-            });
+        for (c, mut v) in by_color {
             v.sort_unstable(); // by (key, parent index)
             let members: Vec<usize> = v.into_iter().map(|(_, _, w)| w).collect();
-            groups.insert(c, SplitGroup { ctx: self.alloc_ctx(), members: Arc::new(members) });
+            groups.insert(c, SplitGroup { ctx: self.alloc_ctx(), members: Rc::new(members) });
         }
-        st.result = Some(Arc::new(groups));
+        st.result = Some(Rc::new(groups));
     }
 
     /// Collective communicator split. Called by every member of the parent
@@ -1314,7 +929,7 @@ impl Fabric {
     /// means a rank died mid-rendezvous while the caller was inside a
     /// failure-catching scope.
     #[allow(clippy::too_many_arguments)] // a rendezvous genuinely needs all of these
-    pub(crate) fn split(
+    pub(crate) async fn split(
         &self,
         parent_ctx: Ctx,
         parent_members: &[usize],
@@ -1326,167 +941,61 @@ impl Fabric {
         site: &'static Location<'static>,
         fault_watch: Option<u64>,
     ) -> Result<Option<SplitGroup>, FaultKick> {
-        let cell = self.split_cell(parent_ctx, parent_members, seq);
-        let completed = self.split_deposit(
-            &cell,
-            parent_ctx,
-            parent_members,
-            seq,
-            my_parent_index,
-            my_world_rank,
-            color,
-            key,
-            site,
-        );
-        if !completed {
-            let mut st = lock_unpoisoned(&cell.state);
-            if self.det.is_some() {
-                while st.result.is_none() {
-                    if self.fault_kicked(fault_watch) {
-                        self.verify.clear_wait(my_world_rank);
-                        return Err(FaultKick);
-                    }
-                    drop(st);
-                    self.sched_block(my_world_rank, BlockPoint::Split { ctx: parent_ctx, seq });
-                    st = lock_unpoisoned(&cell.state);
-                }
-            } else {
-                while st.result.is_none() {
-                    if self.verify.is_aborted() {
-                        drop(st);
-                        self.verify.abort_panic(my_world_rank);
-                    }
-                    if self.fault_kicked(fault_watch) {
-                        self.verify.clear_wait(my_world_rank);
-                        return Err(FaultKick);
-                    }
-                    st = cell
-                        .cv
-                        .wait_timeout(st, ABORT_POLL)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
+        let cell = (parent_ctx, seq);
+        let completed = {
+            let mut splits = self.splits.borrow_mut();
+            let st = splits.entry(cell).or_insert_with(|| SplitState {
+                entries: vec![None; parent_members.len()],
+                parent_members: parent_members.to_vec(),
+                arrived: 0,
+                consumed: 0,
+                result: None,
+            });
+            if st.entries[my_parent_index].is_some() {
+                drop(splits);
+                self.abort(format!(
+                    "pmm-verify: world rank {my_world_rank} deposited twice into split #{seq} of \
+                     ctx {parent_ctx} at {site} — members issued splits in different orders"
+                ));
+                self.verify.abort_panic(my_world_rank);
             }
-            self.verify.clear_wait(my_world_rank);
-        }
-        Ok(self.split_finish(&cell, parent_ctx, seq, my_world_rank, color))
-    }
-
-    /// Event-loop analogue of [`Fabric::split`]: identical deposit,
-    /// event, and wake sequence as the deterministic branch there,
-    /// suspending instead of parking.
-    #[allow(clippy::too_many_arguments)] // a rendezvous genuinely needs all of these
-    pub(crate) async fn split_a(
-        &self,
-        parent_ctx: Ctx,
-        parent_members: &[usize],
-        seq: u64,
-        my_parent_index: usize,
-        my_world_rank: usize,
-        color: i64,
-        key: i64,
-        site: &'static Location<'static>,
-        fault_watch: Option<u64>,
-    ) -> Result<Option<SplitGroup>, FaultKick> {
-        let cell = self.split_cell(parent_ctx, parent_members, seq);
-        let completed = self.split_deposit(
-            &cell,
-            parent_ctx,
-            parent_members,
-            seq,
-            my_parent_index,
-            my_world_rank,
-            color,
-            key,
-            site,
-        );
-        if !completed {
+            st.entries[my_parent_index] = Some((color, key, my_world_rank));
+            st.arrived += 1;
+            self.touch(Resource::SplitCell { ctx: parent_ctx, seq });
+            self.split_try_complete(st);
+            if st.result.is_none() {
+                let waiting_on: Vec<usize> = if parent_members.len() > WAIT_LIST_MAX_WORLD {
+                    Vec::new()
+                } else {
+                    parent_members
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, &w)| st.entries[i].is_none().then_some(w))
+                        .collect()
+                };
+                self.verify.set_wait(
+                    my_world_rank,
+                    WaitInfo { kind: WaitKind::Split { seq }, ctx: parent_ctx, waiting_on, site },
+                );
+            }
+            st.result.is_some()
+        };
+        if completed {
+            self.wake(Resource::SplitCell { ctx: parent_ctx, seq });
+        } else {
             loop {
                 if self.fault_kicked(fault_watch) {
                     self.verify.clear_wait(my_world_rank);
                     return Err(FaultKick);
                 }
                 self.yield_block(my_world_rank, BlockPoint::Split { ctx: parent_ctx, seq }).await;
-                if lock_unpoisoned(&cell.state).result.is_some() {
+                if self.splits.borrow().get(&cell).is_some_and(|st| st.result.is_some()) {
                     break;
                 }
             }
             self.verify.clear_wait(my_world_rank);
         }
-        Ok(self.split_finish(&cell, parent_ctx, seq, my_world_rank, color))
-    }
-
-    /// Find or create the rendezvous cell for split `seq` of
-    /// `parent_ctx`.
-    fn split_cell(&self, parent_ctx: Ctx, parent_members: &[usize], seq: u64) -> Arc<SplitCell> {
-        let mut splits = lock_unpoisoned(&self.splits);
-        splits
-            .entry((parent_ctx, seq))
-            .or_insert_with(|| {
-                Arc::new(SplitCell {
-                    state: Mutex::new(SplitState {
-                        entries: vec![None; parent_members.len()],
-                        parent_members: parent_members.to_vec(),
-                        arrived: 0,
-                        consumed: 0,
-                        result: None,
-                    }),
-                    cv: Condvar::new(),
-                })
-            })
-            .clone()
-    }
-
-    /// Deposit one member's `(color, key)` into the rendezvous. Returns
-    /// `true` if the split completed (waiters woken); on `false` the
-    /// caller's verify wait is registered and it must wait for the
-    /// result. Aborts the world on a double deposit.
-    #[allow(clippy::too_many_arguments)]
-    fn split_deposit(
-        &self,
-        cell: &SplitCell,
-        parent_ctx: Ctx,
-        parent_members: &[usize],
-        seq: u64,
-        my_parent_index: usize,
-        my_world_rank: usize,
-        color: i64,
-        key: i64,
-        site: &'static Location<'static>,
-    ) -> bool {
-        let mut st = lock_unpoisoned(&cell.state);
-        if st.entries[my_parent_index].is_some() {
-            drop(st);
-            self.abort(format!(
-                "pmm-verify: world rank {my_world_rank} deposited twice into split #{seq} of \
-                 ctx {parent_ctx} at {site} — members issued splits in different orders"
-            ));
-            self.verify.abort_panic(my_world_rank);
-        }
-        st.entries[my_parent_index] = Some((color, key, my_world_rank));
-        st.arrived += 1;
-        self.det_touch(Resource::SplitCell { ctx: parent_ctx, seq });
-        self.split_try_complete(&mut st);
-        if st.result.is_some() {
-            cell.cv.notify_all();
-            self.sched_wake(Resource::SplitCell { ctx: parent_ctx, seq });
-            true
-        } else {
-            let waiting_on: Vec<usize> = if parent_members.len() > WAIT_LIST_MAX_WORLD {
-                Vec::new()
-            } else {
-                parent_members
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &w)| st.entries[i].is_none().then_some(w))
-                    .collect()
-            };
-            self.verify.set_wait(
-                my_world_rank,
-                WaitInfo { kind: WaitKind::Split { seq }, ctx: parent_ctx, waiting_on, site },
-            );
-            false
-        }
+        Ok(self.split_finish(cell, my_world_rank, color))
     }
 
     /// Read the completed result, retire this consumer (freeing the
@@ -1494,166 +1003,57 @@ impl Fabric {
     /// the caller's color group.
     fn split_finish(
         &self,
-        cell: &SplitCell,
-        parent_ctx: Ctx,
-        seq: u64,
+        cell: (Ctx, u64),
         my_world_rank: usize,
         color: i64,
     ) -> Option<SplitGroup> {
-        let mut st = lock_unpoisoned(&cell.state);
+        let (parent_ctx, seq) = cell;
+        let mut splits = self.splits.borrow_mut();
+        let st = splits.get_mut(&cell).unwrap_or_else(|| {
+            panic!("split #{seq} on ctx {parent_ctx}: rendezvous vanished — fabric bug")
+        });
         let result = st
             .result
-            .as_ref()
-            .unwrap_or_else(|| {
-                panic!("split #{seq} on ctx {parent_ctx}: woke without a result — fabric bug")
-            })
-            .clone();
+            .clone()
+            .unwrap_or_else(|| panic!("split #{seq} on ctx {parent_ctx}: no result — fabric bug"));
         st.consumed += 1;
         // Once the result is set no further deposits are accepted, so
         // `arrived` is frozen and "everyone who deposited has read it" is
-        // the cleanup condition (equal to the old `== parent size` rule in
-        // fault-free worlds). A member kicked out mid-wait never consumes;
-        // its cell is left behind, which only an injected death can cause.
-        let everyone_done = st.consumed == st.arrived;
-        drop(st); // splits-map lock is taken next; never hold state across it
-        if everyone_done {
-            // Everyone has read the result; free the rendezvous slot so
-            // long runs don't accumulate split state.
-            lock_unpoisoned(&self.splits).remove(&(parent_ctx, seq));
+        // the cleanup condition. A member kicked out mid-wait never
+        // consumes; its cell is left behind, which only an injected death
+        // can cause.
+        if st.consumed == st.arrived {
+            splits.remove(&cell);
         }
-
-        if color < 0 {
-            None
-        } else {
-            Some(
-                result
-                    .get(&color)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "split #{seq} on ctx {parent_ctx}: world rank {my_world_rank}'s \
-                             color {color} missing from the computed groups — fabric bug"
-                        )
-                    })
-                    .clone(),
-            )
-        }
+        (color >= 0).then(|| {
+            result
+                .get(&color)
+                .unwrap_or_else(|| {
+                    panic!(
+                        "split #{seq} on ctx {parent_ctx}: world rank {my_world_rank}'s color \
+                         {color} missing from the computed groups — fabric bug"
+                    )
+                })
+                .clone()
+        })
     }
 
-    /// Abort the world: store `report`, set the abort flag, and wake every
-    /// blocked primitive so ranks tear themselves down promptly. First
-    /// abort wins; later calls are no-ops.
+    /// Split rendezvous not yet read by every depositor.
+    #[cfg(test)]
+    pub(crate) fn open_splits(&self) -> usize {
+        self.splits.borrow().len()
+    }
+
+    // ----- aborts and reports -----------------------------------------------
+
+    /// Abort the world: store `report` and set the abort flag; every rank
+    /// is torn down the next time it is polled or touches the fabric.
+    /// First abort wins; later calls are no-ops.
     pub(crate) fn abort(&self, report: String) {
-        if !self.verify.try_set_aborted(report) {
-            return;
-        }
-        self.wake_all_primitives();
+        self.verify.try_set_aborted(report);
     }
 
-    /// Count of messages posted but never taken, per mailbox (strict-drain
-    /// audit).
-    pub(crate) fn residual_messages(&self) -> Vec<(Ctx, usize, usize)> {
-        let map = read_unpoisoned(&self.mailboxes);
-        let mut out: Vec<(Ctx, usize, usize)> = map
-            .iter()
-            .filter_map(|(&(ctx, index), mb)| {
-                let n = lock_unpoisoned(&mb.q).len();
-                (n > 0).then_some((ctx, index, n))
-            })
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    // ----- deadlock watchdog ------------------------------------------------
-
-    /// One watchdog pass over the wait registry. Returns a deadlock report
-    /// when the same non-empty set of ranks is blocked with no possible
-    /// progress for two consecutive scans (`prev` carries the candidate
-    /// set between scans as `(rank, wait-generation)` pairs).
-    ///
-    /// "Possible progress" is computed as a fixpoint: running ranks can
-    /// progress; a blocked rank whose wait already has its wake-up
-    /// condition satisfied (message queued, split result computed, barrier
-    /// generation advanced) can progress; and a blocked rank waiting on
-    /// any rank that can progress might still be served. Only ranks
-    /// outside that closure are deadlocked — so the detector never flags a
-    /// slow-but-live schedule.
-    pub(crate) fn watchdog_scan(&self, prev: &mut Option<Vec<(usize, u64)>>) -> Option<String> {
-        if self.verify.is_aborted() {
-            return None;
-        }
-        let views = self.verify.snapshot();
-        let n = views.len();
-        let mut progressable = vec![false; n];
-        let mut any_blocked = false;
-        for (r, v) in views.iter().enumerate() {
-            match &v.wait {
-                None => progressable[r] = !v.done,
-                Some(_) => any_blocked = true,
-            }
-        }
-        if !any_blocked {
-            *prev = None;
-            return None;
-        }
-        // Wake-up hints: blocked ranks whose wait condition is already met.
-        for (r, v) in views.iter().enumerate() {
-            let Some(w) = &v.wait else { continue };
-            let hinted = match &w.kind {
-                WaitKind::Recv { ctx_index, .. } => {
-                    let mb = read_unpoisoned(&self.mailboxes).get(&(w.ctx, *ctx_index)).cloned();
-                    mb.is_some_and(|mb| !lock_unpoisoned(&mb.q).is_empty())
-                }
-                WaitKind::Split { seq } => {
-                    let cell = lock_unpoisoned(&self.splits).get(&(w.ctx, *seq)).cloned();
-                    cell.is_some_and(|c| lock_unpoisoned(&c.state).result.is_some())
-                }
-                WaitKind::Barrier { generation } => {
-                    lock_unpoisoned(&self.barrier.st).generation > *generation
-                }
-            };
-            if hinted {
-                progressable[r] = true;
-            }
-        }
-        // Propagate progress potential along wait-for edges.
-        loop {
-            let mut changed = false;
-            for (r, v) in views.iter().enumerate() {
-                if progressable[r] {
-                    continue;
-                }
-                let Some(w) = &v.wait else { continue };
-                if w.waiting_on.iter().any(|&o| o < n && progressable[o]) {
-                    progressable[r] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let deadlocked: Vec<(usize, u64)> = views
-            .iter()
-            .enumerate()
-            .filter(|&(r, v)| v.wait.is_some() && !progressable[r])
-            .map(|(r, v)| (r, v.gen))
-            .collect();
-        if deadlocked.is_empty() {
-            *prev = None;
-            return None;
-        }
-        if prev.as_ref() != Some(&deadlocked) {
-            // New candidate set (or a rank re-blocked, bumping its
-            // generation): require one more stable scan before aborting.
-            *prev = Some(deadlocked);
-            return None;
-        }
-        let stuck: Vec<usize> = deadlocked.iter().map(|&(r, _)| r).collect();
-        Some(self.deadlock_report(&views, &stuck))
-    }
-
-    fn deadlock_report(&self, views: &[SlotView], stuck: &[usize]) -> String {
+    fn deadlock_report(&self, stuck: &[usize]) -> String {
         // When the fault plan killed a rank, blocked survivors are the
         // *consequence* of that injected failure, not a communication bug:
         // report the rank failure (naming the plan entry and replay seed)
@@ -1678,8 +1078,9 @@ impl Fabric {
             }
             r
         };
+        let waits = self.verify.waits();
         for &r in stuck {
-            if let Some(w) = &views[r].wait {
+            if let Some(w) = &waits[r] {
                 report.push_str(&format!(
                     "  rank {r}: blocked in {} on ctx {} at {}, waiting on ranks {:?}\n",
                     w.kind, w.ctx, w.site, w.waiting_on
@@ -1688,11 +1089,12 @@ impl Fabric {
         }
         if failures.is_empty() {
             let stuck_set: HashSet<usize> = stuck.iter().copied().collect();
-            if let Some(cycle) = wait_cycle(views, &stuck_set) {
+            if let Some(cycle) = wait_cycle(&waits, &stuck_set) {
                 let path: Vec<String> = cycle.iter().map(|r| format!("rank {r}")).collect();
                 report.push_str(&format!("wait-for cycle: {}\n", path.join(" -> ")));
             }
         }
+        drop(waits);
         let pending = self.verify.all_pending_collectives();
         if !pending.is_empty() {
             report.push_str("partially-entered collectives:\n");
@@ -1708,12 +1110,12 @@ impl Fabric {
 /// Walk wait-for edges inside the stuck set from its smallest member and
 /// return the first cycle found, closed (first element repeated at the
 /// end).
-fn wait_cycle(views: &[SlotView], stuck: &HashSet<usize>) -> Option<Vec<usize>> {
+fn wait_cycle(waits: &[Option<WaitInfo>], stuck: &HashSet<usize>) -> Option<Vec<usize>> {
     let start = *stuck.iter().min()?;
     let mut path: Vec<usize> = vec![start];
     let mut cur = start;
     loop {
-        let w = views[cur].wait.as_ref()?;
+        let w = waits[cur].as_ref()?;
         let next = *w.waiting_on.iter().find(|o| stuck.contains(o))?;
         if let Some(pos) = path.iter().position(|&r| r == next) {
             let mut cycle = path[pos..].to_vec();
@@ -1722,303 +1124,5 @@ fn wait_cycle(views: &[SlotView], stuck: &HashSet<usize>) -> Option<Vec<usize>> 
         }
         path.push(next);
         cur = next;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::thread;
-
-    fn here() -> &'static Location<'static> {
-        Location::caller()
-    }
-
-    fn msg(from: usize, sent_at: f64, payload: Vec<f64>) -> Message {
-        Message { from, sent_at, payload, vclock: None, meta: None }
-    }
-
-    #[test]
-    fn post_and_take_roundtrip() {
-        let fabric = Fabric::new(1);
-        fabric.post(WORLD_CTX, 0, msg(3, 1.5, vec![1.0, 2.0]));
-        let m = fabric.take_any(WORLD_CTX, 0, 0, 0, here(), None).unwrap();
-        assert_eq!(m.from, 3);
-        assert_eq!(m.sent_at, 1.5);
-        assert_eq!(m.payload, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn messages_between_contexts_are_isolated() {
-        let fabric = Fabric::new(1);
-        fabric.post(7, 0, msg(0, 0.0, vec![7.0]));
-        fabric.post(8, 0, msg(0, 0.0, vec![8.0]));
-        assert_eq!(fabric.take_any(8, 0, 0, 0, here(), None).unwrap().payload, vec![8.0]);
-        assert_eq!(fabric.take_any(7, 0, 0, 0, here(), None).unwrap().payload, vec![7.0]);
-    }
-
-    #[test]
-    fn split_partitions_by_color_and_orders_by_key() {
-        // 4 "ranks" split into color = rank % 2, key = -rank (reverse order).
-        let fabric = Arc::new(Fabric::new(4));
-        let members = [0usize, 1, 2, 3];
-        let mut handles = Vec::new();
-        for r in 0..4usize {
-            let f = fabric.clone();
-            handles.push(thread::spawn(move || {
-                f.split(WORLD_CTX, &members, 0, r, r, (r % 2) as i64, -(r as i64), here(), None)
-            }));
-        }
-        let groups: Vec<_> =
-            handles.into_iter().map(|h| h.join().unwrap().unwrap().unwrap()).collect();
-        // ranks 0 and 2 share color 0; members sorted by key (descending rank)
-        assert_eq!(*groups[0].members, vec![2, 0]);
-        assert_eq!(*groups[2].members, vec![2, 0]);
-        assert_eq!(*groups[1].members, vec![3, 1]);
-        assert_eq!(*groups[3].members, vec![3, 1]);
-        // distinct colors got distinct contexts
-        assert_ne!(groups[0].ctx, groups[1].ctx);
-        assert_eq!(groups[0].ctx, groups[2].ctx);
-    }
-
-    #[test]
-    fn split_with_negative_color_yields_none() {
-        let fabric = Arc::new(Fabric::new(2));
-        let f2 = fabric.clone();
-        let h = thread::spawn(move || f2.split(WORLD_CTX, &[0, 1], 0, 1, 1, -1, 0, here(), None));
-        let g0 = fabric.split(WORLD_CTX, &[0, 1], 0, 0, 0, 0, 0, here(), None).unwrap();
-        let g1 = h.join().unwrap().unwrap();
-        assert!(g1.is_none());
-        assert_eq!(*g0.unwrap().members, vec![0]);
-    }
-
-    #[test]
-    fn split_state_is_cleaned_up() {
-        let fabric = Arc::new(Fabric::new(2));
-        let f2 = fabric.clone();
-        let h = thread::spawn(move || f2.split(WORLD_CTX, &[0, 1], 5, 1, 1, 0, 0, here(), None));
-        fabric.split(WORLD_CTX, &[0, 1], 5, 0, 0, 0, 0, here(), None).unwrap();
-        h.join().unwrap().unwrap();
-        assert!(lock_unpoisoned(&fabric.splits).is_empty());
-    }
-
-    #[test]
-    fn watchdog_scan_flags_mutual_recv_after_two_stable_scans() {
-        // Two ranks each blocked receiving from the other, nothing queued.
-        let fabric = Fabric::new(2);
-        fabric.verify.set_wait(
-            0,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 1, ctx_index: 0 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![1],
-                site: here(),
-            },
-        );
-        fabric.verify.set_wait(
-            1,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 0, ctx_index: 1 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![0],
-                site: here(),
-            },
-        );
-        let mut prev = None;
-        assert!(fabric.watchdog_scan(&mut prev).is_none(), "first scan only arms the candidate");
-        let report = fabric.watchdog_scan(&mut prev).expect("second stable scan must confirm");
-        assert!(report.contains("deadlock detected"), "{report}");
-        assert!(report.contains("rank 0"), "{report}");
-        assert!(report.contains("rank 1"), "{report}");
-        assert!(report.contains("wait-for cycle"), "{report}");
-    }
-
-    #[test]
-    fn watchdog_scan_spares_recv_with_queued_message() {
-        // Rank 0 waits on rank 1, but a message is already queued for it:
-        // rank 0 is progressable, and rank 1 (waiting on rank 0) inherits
-        // that via the fixpoint.
-        let fabric = Fabric::new(2);
-        fabric.post(WORLD_CTX, 0, msg(1, 0.0, vec![1.0]));
-        fabric.verify.set_wait(
-            0,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 1, ctx_index: 0 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![1],
-                site: here(),
-            },
-        );
-        fabric.verify.set_wait(
-            1,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 0, ctx_index: 1 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![0],
-                site: here(),
-            },
-        );
-        let mut prev = None;
-        for _ in 0..3 {
-            assert!(fabric.watchdog_scan(&mut prev).is_none());
-        }
-    }
-
-    #[test]
-    fn watchdog_scan_spares_blocked_ranks_while_any_rank_runs() {
-        // Rank 0 blocked on rank 1; rank 1 is running (no wait) — no
-        // deadlock, however many scans pass.
-        let fabric = Fabric::new(2);
-        fabric.verify.set_wait(
-            0,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 1, ctx_index: 0 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![1],
-                site: here(),
-            },
-        );
-        let mut prev = None;
-        for _ in 0..3 {
-            assert!(fabric.watchdog_scan(&mut prev).is_none());
-        }
-    }
-
-    #[test]
-    fn watchdog_scan_flags_recv_from_finished_rank() {
-        // Rank 1 exited without sending; rank 0 still waits on it.
-        let fabric = Fabric::new(2);
-        fabric.verify.set_wait(
-            0,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 1, ctx_index: 0 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![1],
-                site: here(),
-            },
-        );
-        fabric.verify.mark_done(1);
-        let mut prev = None;
-        assert!(fabric.watchdog_scan(&mut prev).is_none());
-        let report = fabric.watchdog_scan(&mut prev).expect("recv from exited rank is a deadlock");
-        assert!(report.contains("rank 0"), "{report}");
-        assert!(report.contains("waiting on ranks [1]"), "{report}");
-    }
-
-    #[test]
-    fn watchdog_requires_stability_across_generations() {
-        // The candidate set is armed, but the rank re-blocks (generation
-        // bump) before the second scan: the confirmation must start over.
-        let fabric = Fabric::new(1);
-        let block = |f: &Fabric| {
-            f.verify.set_wait(
-                0,
-                WaitInfo {
-                    kind: WaitKind::Recv { from_world: 0, ctx_index: 0 },
-                    ctx: WORLD_CTX,
-                    waiting_on: vec![0],
-                    site: here(),
-                },
-            )
-        };
-        block(&fabric);
-        let mut prev = None;
-        assert!(fabric.watchdog_scan(&mut prev).is_none());
-        block(&fabric); // same wait, new generation
-        assert!(fabric.watchdog_scan(&mut prev).is_none(), "generation changed: re-arm");
-        let report = fabric.watchdog_scan(&mut prev);
-        assert!(report.is_some(), "stable for two scans now");
-    }
-
-    #[test]
-    fn abort_wakes_blocked_take_any() {
-        let fabric = Arc::new(Fabric::new(2));
-        let f2 = fabric.clone();
-        let h = thread::spawn(move || {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                f2.take_any(WORLD_CTX, 0, 0, 1, here(), None);
-            }));
-            caught.expect_err("take_any must panic out of an aborted world")
-        });
-        // Give the receiver a moment to block, then abort.
-        thread::sleep(Duration::from_millis(20));
-        fabric.abort("test abort".to_string());
-        let payload = h.join().expect("receiver thread joins");
-        let abort = payload
-            .downcast_ref::<crate::verify::AbortPanic>()
-            .expect("panic payload is AbortPanic");
-        assert!(abort.0.contains("test abort"), "{}", abort.0);
-    }
-
-    #[test]
-    fn residual_messages_reports_undrained_mailboxes() {
-        let fabric = Fabric::new(2);
-        fabric.post(WORLD_CTX, 1, msg(0, 0.0, vec![1.0]));
-        fabric.post(WORLD_CTX, 1, msg(0, 0.0, vec![2.0]));
-        fabric.post(3, 0, msg(1, 0.0, vec![3.0]));
-        assert_eq!(fabric.residual_messages(), vec![(WORLD_CTX, 1, 2), (3, 0, 1)]);
-        fabric.take_any(3, 0, 0, 1, here(), None);
-        assert_eq!(fabric.residual_messages(), vec![(WORLD_CTX, 1, 2)]);
-    }
-
-    #[test]
-    fn dead_rank_completes_pending_split_with_survivors_only() {
-        // Three ranks; rank 2 dies after ranks 0 and 1 have deposited.
-        let mut fabric = Fabric::new(3);
-        fabric.enable_faults(FaultPlan::none(), 0);
-        let fabric = Arc::new(fabric);
-        let members = [0usize, 1, 2];
-        let mut handles = Vec::new();
-        for r in 0..2usize {
-            let f = fabric.clone();
-            handles.push(thread::spawn(move || {
-                f.split(WORLD_CTX, &members, 0, r, r, 0, r as i64, here(), None)
-            }));
-        }
-        thread::sleep(Duration::from_millis(20));
-        fabric.mark_rank_dead(2, "rank 2 killed by fault-plan entry kill=2@1".to_string());
-        for h in handles {
-            let group = h.join().unwrap().unwrap().unwrap();
-            assert_eq!(*group.members, vec![0, 1], "dead member must be excluded");
-        }
-    }
-
-    #[test]
-    fn fault_kick_interrupts_blocked_take_any() {
-        let mut fabric = Fabric::new(2);
-        fabric.enable_faults(FaultPlan::none(), 0);
-        let fabric = Arc::new(fabric);
-        let f2 = fabric.clone();
-        let watch = Some(fabric.fault_epoch());
-        let h = thread::spawn(move || f2.take_any(WORLD_CTX, 0, 0, 1, here(), watch));
-        thread::sleep(Duration::from_millis(20));
-        fabric.mark_rank_dead(1, "rank 1 killed by fault-plan entry kill=1@1".to_string());
-        assert!(h.join().unwrap().is_none(), "wait must be kicked, not served");
-    }
-
-    #[test]
-    fn deadlock_report_with_rank_failure_names_the_kill_not_a_cycle() {
-        let fabric = Fabric::new(2);
-        fabric.verify.note_rank_failure(
-            "rank 1 killed by fault-plan entry kill=1@3 (replay: PMM_SEED=7)".to_string(),
-        );
-        fabric.verify.set_wait(
-            0,
-            WaitInfo {
-                kind: WaitKind::Recv { from_world: 1, ctx_index: 0 },
-                ctx: WORLD_CTX,
-                waiting_on: vec![1],
-                site: here(),
-            },
-        );
-        fabric.verify.mark_done(1);
-        let mut prev = None;
-        assert!(fabric.watchdog_scan(&mut prev).is_none());
-        let report = fabric.watchdog_scan(&mut prev).expect("stuck survivor is reported");
-        assert!(report.contains("rank failure"), "{report}");
-        assert!(report.contains("kill=1@3"), "{report}");
-        assert!(report.contains("PMM_SEED=7"), "{report}");
-        assert!(!report.contains("deadlock detected"), "{report}");
-        assert!(!report.contains("wait-for cycle"), "{report}");
     }
 }

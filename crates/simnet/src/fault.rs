@@ -7,7 +7,7 @@
 //! operation. Every per-copy decision is a pure hash of
 //! `(fault seed, ctx, sender, receiver, channel sequence, attempt)`
 //! through the same SplitMix64 mixer the deterministic scheduler uses —
-//! so outcomes are independent of thread interleaving, and the triple
+//! so outcomes are independent of the schedule, and the triple
 //! `(program, seed, plan)` replays byte-identically.
 //!
 //! Beyond the single-copy faults, a plan composes three multi-fault
@@ -29,7 +29,7 @@
 //!   is independently slowed by `FACTOR` with probability `RATE`,
 //!   drawn from a pure hash of (fault seed, rank).
 //!
-//! On top of the lossy fabric, [`Rank::send`] runs a reliable-delivery
+//! On top of the lossy fabric, [`Rank::send_a`] runs a reliable-delivery
 //! protocol: sends are sequence-numbered and acknowledged, with a
 //! configurable retransmission timeout and capped exponential backoff.
 //! The receive side discards duplicates (by sequence number) and
@@ -39,21 +39,19 @@
 //! add on top of the tight bound.
 //!
 //! Rank death is surfaced as a typed [`RankFailed`] error through
-//! [`Rank::catch_failures`] instead of a hang: survivors blocked on the
-//! dead rank are kicked out of their waits, and the watchdog/scheduler
-//! report the failure (naming the fault-plan entry and replay seed)
+//! [`catch_failures_async!`] instead of a hang: survivors blocked on the
+//! dead rank are kicked out of their waits, and the scheduler reports
+//! the failure (naming the fault-plan entry and replay seed)
 //! rather than a spurious deadlock.
 //!
 //! [`World::with_faults`]: crate::World::with_faults
-//! [`Rank::send`]: crate::Rank::send
-//! [`Rank::catch_failures`]: crate::Rank::catch_failures
+//! [`Rank::send_a`]: crate::Rank::send_a
+//! [`catch_failures_async!`]: crate::catch_failures_async
 //! [`Meter`]: crate::Meter
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
 
 use crate::fabric::{splitmix64, Ctx};
-use crate::verify::lock_unpoisoned;
 
 /// Kill world rank `rank` when it enters its `at_op`-th communication
 /// operation (send, receive, exchange, wait, split, or barrier —
@@ -156,9 +154,10 @@ pub struct Storm {
 /// let out = World::new(2, MachineParams::BANDWIDTH_ONLY)
 ///     .with_seed(42)
 ///     .with_faults(plan)
-///     .run(|rank| {
+///     .run(async |rank| {
 ///         let wc = rank.world_comm();
-///         rank.sendrecv(&wc, 1 - wc.index(), &[rank.world_rank() as f64; 4]).payload
+///         let payload = [rank.world_rank() as f64; 4];
+///         rank.sendrecv_a(&wc, 1 - wc.index(), &payload).await.payload
 ///     });
 /// assert_eq!(out.values[0], vec![1.0; 4]); // payload intact despite drops
 /// assert_eq!(out.reports[0].meter.words_sent, 4); // goodput excludes retries
@@ -676,7 +675,7 @@ pub(crate) struct MsgMeta {
 }
 
 /// Typed error surfaced when a rank dies under the fault plan: returned
-/// by [`Rank::catch_failures`](crate::Rank::catch_failures) both on the
+/// by [`catch_failures_async!`](crate::catch_failures_async) both on the
 /// killed rank itself and on survivors whose communication can no longer
 /// complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -696,7 +695,7 @@ impl std::fmt::Display for RankFailed {
 impl std::error::Error for RankFailed {}
 
 /// Panic payload used to unwind a rank to its
-/// [`catch_failures`](crate::Rank::catch_failures) boundary on a fault.
+/// [`catch_failures_async!`](crate::catch_failures_async) boundary on a fault.
 /// `World::run` converts an uncaught one into a typed failure report
 /// instead of a bare "rank panicked".
 pub(crate) struct FaultPanic(pub(crate) RankFailed);
@@ -706,54 +705,43 @@ pub(crate) struct FaultPanic(pub(crate) RankFailed);
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FaultKick;
 
-/// Shared fault-injection state, owned by the fabric. The epoch counter
-/// bumps on every death; ranks inside a catching scope compare it
-/// against the epoch they entered with to learn that the world changed
-/// under them.
+/// Fault-injection state, owned by the fabric. The epoch counter bumps
+/// on every death; ranks inside a catching scope compare it against the
+/// epoch they entered with to learn that the world changed under them.
 pub(crate) struct FaultState {
     pub(crate) plan: FaultPlan,
     pub(crate) seed: u64,
-    epoch: AtomicU64,
-    dead: Mutex<Vec<bool>>,
+    epoch: Cell<u64>,
+    dead: RefCell<Vec<bool>>,
 }
 
 impl FaultState {
     pub(crate) fn new(plan: FaultPlan, seed: u64, world_size: usize) -> FaultState {
-        FaultState {
-            plan,
-            seed,
-            epoch: AtomicU64::new(0),
-            dead: Mutex::new(vec![false; world_size]),
-        }
+        FaultState { plan, seed, epoch: Cell::new(0), dead: RefCell::new(vec![false; world_size]) }
     }
 
     /// Current fault epoch (number of deaths so far).
     pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.epoch.get()
     }
 
     /// Whether world rank `r` has been killed.
     pub(crate) fn is_dead(&self, r: usize) -> bool {
-        lock_unpoisoned(&self.dead)[r]
+        self.dead.borrow()[r]
     }
 
     /// World ranks killed so far, ascending.
     pub(crate) fn dead_ranks(&self) -> Vec<usize> {
-        let dead = lock_unpoisoned(&self.dead);
-        dead.iter().enumerate().filter_map(|(r, &d)| d.then_some(r)).collect()
+        self.dead.borrow().iter().enumerate().filter_map(|(r, &d)| d.then_some(r)).collect()
     }
 
-    /// Record the death of `r`. The dead flag is set before the epoch
-    /// bump, so any rank that observes the new epoch also sees the
-    /// updated dead set. Returns false if `r` was already dead.
+    /// Record the death of `r` and bump the epoch. Returns false if `r`
+    /// was already dead.
     pub(crate) fn mark_dead(&self, r: usize) -> bool {
-        let mut dead = lock_unpoisoned(&self.dead);
-        if dead[r] {
+        if std::mem::replace(&mut self.dead.borrow_mut()[r], true) {
             return false;
         }
-        dead[r] = true;
-        drop(dead);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.epoch.set(self.epoch.get() + 1);
         true
     }
 }

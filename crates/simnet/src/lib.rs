@@ -1,12 +1,13 @@
 //! # pmm-simnet — a metered, simulated distributed-memory machine
 //!
 //! This crate is the workspace's substitute for an MPI cluster. It realizes
-//! the α-β-γ machine model of §3.1 of the paper as a *real concurrent
-//! execution*: every simulated processor ("rank") is an OS thread with
-//! private data, and the **only** way data moves between ranks is through
-//! explicit messages over channels. Consequently, the word counts metered
-//! here are exactly the communication volumes a distributed implementation
-//! would incur — which is the quantity the paper's lower bounds constrain.
+//! the α-β-γ machine model of §3.1 of the paper as an *executed* program:
+//! every simulated processor ("rank") is a continuation with private data
+//! on a single-threaded deterministic event loop, and the **only** way
+//! data moves between ranks is through explicit messages over channels.
+//! Consequently, the word counts metered here are exactly the
+//! communication volumes a distributed implementation would incur — which
+//! is the quantity the paper's lower bounds constrain.
 //!
 //! ## What is metered
 //!
@@ -33,16 +34,16 @@
 //! use pmm_simnet::World;
 //!
 //! // 4 ranks; each sends its rank to rank 0.
-//! let out = World::new(4, MachineParams::BANDWIDTH_ONLY).run(|rank| {
+//! let out = World::new(4, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
 //!     let world = rank.world_comm();
 //!     if rank.world_rank() == 0 {
 //!         let mut sum = 0.0;
 //!         for from in 1..4 {
-//!             sum += rank.recv(&world, from).payload[0];
+//!             sum += rank.recv_a(&world, from).await.payload[0];
 //!         }
 //!         sum
 //!     } else {
-//!         rank.send(&world, 0, &[rank.world_rank() as f64]);
+//!         rank.send_a(&world, 0, &[rank.world_rank() as f64]).await;
 //!         0.0
 //!     }
 //! });
@@ -50,32 +51,38 @@
 //! assert_eq!(out.total_words_sent(), 3.0);
 //! ```
 //!
-//! Deadlock note: mailboxes are unbounded, so `send` never blocks; `recv`
-//! blocks until the matching message arrives. A program that receives a
-//! message that was never sent would block forever — as under MPI — but
-//! the [`verify`] layer turns that into a *checked* failure: in debug
-//! builds a watchdog detects the deadlock and panics with a report naming
-//! every blocked rank, its operation, communicator context, and call
-//! site, and a collective-matching lint flags mismatched collectives
-//! deterministically before they hang. See [`World::with_watchdog`] and
-//! the `verify` module docs.
+//! Every communication primitive is an `async` method of [`Rank`] with an
+//! `_a` suffix; a rank program is an async closure. Ranks suspend at
+//! every send, collective entry, and blocking point, where the scheduler
+//! hands the baton to the next rank — so a world of P ranks costs P
+//! suspended futures, not P OS threads.
 //!
-//! Reproducibility note: by default ranks free-run on OS threads, so
-//! interleavings differ between runs. [`World::with_seed`] switches to a
-//! seeded cooperative scheduler that serializes rank progress at every
-//! blocking point and records a byte-identical [`ScheduleTrace`] — see
-//! the [`trace`] module for golden-trace replay
-//! ([`ScheduleTrace::assert_matches`]), the [`fuzz_schedules`] harness,
-//! and the `PMM_SEED` replay knob ([`seed_from_env`]).
+//! Deadlock note: mailboxes are unbounded, so `send_a` never blocks;
+//! `recv_a` suspends until the matching message arrives. A program that
+//! receives a message that was never sent would wait forever — as under
+//! MPI — but the [`verify`] layer turns that into a *checked* failure:
+//! when no rank is runnable while some rank is blocked, the scheduler
+//! aborts the run with a report naming every blocked rank, its
+//! operation, communicator context, call site, and wait-for cycle; and a
+//! collective-matching lint flags mismatched collectives before they
+//! hang. See the `verify` module docs.
+//!
+//! Reproducibility note: every run is deterministic. A world without a
+//! schedule always picks the smallest runnable rank and records nothing.
+//! [`World::with_seed`] breaks ties with a seeded PRNG and records a
+//! byte-identical [`ScheduleTrace`] — see the [`trace`] module for
+//! golden-trace replay ([`ScheduleTrace::assert_matches`]), the
+//! [`fuzz_schedules`] harness, and the `PMM_SEED` replay knob
+//! ([`seed_from_env`]).
 //!
 //! Robustness note: [`World::with_faults`] attaches a seeded [`FaultPlan`]
 //! that drops, duplicates, corrupts, or delays messages (absorbed by a
 //! sequence-numbered, checksummed reliable-delivery layer whose
 //! retransmissions are metered separately from goodput), slows ranks into
 //! stragglers, or kills ranks outright — with killed ranks surfacing as
-//! typed [`RankFailed`] errors via [`Rank::catch_failures`] so programs
+//! typed [`RankFailed`] errors via [`catch_failures_async!`] so programs
 //! can rebuild a communicator over the survivors
-//! ([`Rank::recovery_split`]) and recompute. See the [`fault`] module.
+//! ([`Rank::recovery_split_a`]) and recompute. See the [`fault`] module.
 
 #![warn(missing_docs)]
 
@@ -92,7 +99,7 @@ pub mod verify;
 pub mod world;
 
 pub use comm::Comm;
-pub use engine::{engine_from_env, poll_now, Engine, LocalBoxFuture, ENGINE_ENV};
+pub use engine::Engine;
 pub use fabric::{Ctx, Message};
 pub use fault::{FaultPlan, KillSpec, RankFailed, Straggler};
 pub use meter::{MemTracker, Meter};
@@ -102,8 +109,13 @@ pub use trace::{
     Resource, SchedEvent, Schedule, ScheduleDivergence, ScheduleTrace, SCHEDULE_ENV, SEED_ENV,
 };
 pub use tracer::{Attribution, CriticalPath, PhaseDiff, PhaseTotals, TraceEvent, TraceOp, Tracer};
-pub use verify::{CollectiveOp, VerifyConfig};
+pub use verify::CollectiveOp;
 pub use world::{RankReport, RunFailure, World, WorldResult};
+
+/// A boxed, possibly non-`Send` future borrowing its rank: the return
+/// type of recursive async rank functions (a recursive `async fn` would
+/// have an infinitely sized future type).
+pub type LocalBoxFuture<'a, T> = std::pin::Pin<Box<dyn std::future::Future<Output = T> + 'a>>;
 
 // Re-export the model vocabulary users need alongside the simulator.
 pub use pmm_model::{Cost, MachineParams};

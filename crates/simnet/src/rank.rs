@@ -1,42 +1,34 @@
 //! The per-rank handle: messaging, clocks, meters, memory.
 //!
-//! Every communication primitive has two forms sharing one body: the
-//! async `_a` form (what event-loop programs and the async collectives
-//! call) and a sync wrapper that drives the same future to completion in
-//! a single poll via [`poll_now`]. On [`Engine::Threads`](crate::Engine::Threads)
-//! the body blocks inside `poll` exactly as the
-//! seed-era code did, so both forms behave identically there; on the
-//! event-loop engine the body suspends at the scheduler's yield points
-//! and only the `_a` forms may be used.
+//! Every communication primitive is an `async` method (named with an
+//! `_a` suffix) that suspends its rank's continuation at the scheduler's
+//! yield points.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::panic::Location;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::Poll;
 
 use pmm_model::MachineParams;
 
 use crate::comm::Comm;
-use crate::engine::poll_now;
 use crate::fabric::{Ctx, Fabric, Message, WORLD_CTX};
 use crate::fault::{self, FaultAction, FaultKick, FaultPanic, MsgMeta, RankFailed};
 use crate::meter::{MemTracker, Meter};
 use crate::tracer::{TraceEvent, TraceOp};
 use crate::verify::CollectiveOp;
 
-/// Base sequence number of [`Rank::recovery_split`] rendezvous, far above
+/// Base sequence number of [`Rank::recovery_split_a`] rendezvous, far above
 /// any per-communicator split counter a program could reach, so recovery
 /// splits can never collide with a rendezvous abandoned at a kill.
 const RECOVERY_SPLIT_SEQ_BASE: u64 = 1 << 32;
 
 thread_local! {
-    /// Set by the event-loop executor while it drops the continuations of
-    /// ranks torn down by a world abort — the event-loop analogue of
-    /// `std::thread::panicking()` during a rank thread's unwind, which is
-    /// what keeps the leak checks in `Drop` impls quiet on the thread
-    /// backend.
+    /// Set by the event loop while it drops the continuations of ranks
+    /// torn down by a world abort, so the leak checks in `Drop` impls
+    /// stay quiet for state that was abandoned mid-operation.
     static ABORT_TEARDOWN: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -141,36 +133,43 @@ pub async fn catch_fault_panics<T>(fut: impl Future<Output = T>) -> Result<T, Ra
     }
 }
 
-/// Async form of [`Rank::catch_failures`]: run a future-producing
-/// expression in a fault-catching scope on `rank`, yielding
-/// `Result<T, RankFailed>`.
+/// Run a future-producing expression in a fault-catching scope on
+/// `rank`, yielding `Result<T, RankFailed>`: an injected rank failure —
+/// this rank killed by the plan, or a peer dying while this rank was
+/// blocked on it — becomes a typed [`RankFailed`] error. While the scope
+/// is active, every blocking operation watches the fault epoch and is
+/// kicked out promptly when any rank dies; outside a scope a death
+/// surfaces through the scheduler's failure report. Panics that are not
+/// injected faults propagate unchanged.
+///
+/// After an `Err` the program must not reuse communicators that may
+/// have been abandoned mid-collective: synchronize the survivors with
+/// [`Rank::hard_sync_a`] and rebuild communicators from a
+/// [`Rank::recovery_split_a`].
 ///
 /// ```
 /// use pmm_simnet::{catch_failures_async, FaultPlan, MachineParams, World};
 ///
 /// let out = World::new(2, MachineParams::BANDWIDTH_ONLY)
 ///     .with_faults(FaultPlan::none().with_kill(1, 1))
-///     .run_async(|rank| {
-///         Box::pin(async move {
-///             let wc = rank.world_comm();
-///             let me = rank.world_rank();
-///             let r = catch_failures_async!(rank, async {
-///                 if me == 0 {
-///                     rank.recv_a(&wc, 1).await; // blocks on the killed rank
-///                 } else {
-///                     rank.send_a(&wc, 0, &[1.0]).await; // killed here
-///                 }
-///             });
-///             r.is_err()
-///         })
+///     .run(async |rank| {
+///         let wc = rank.world_comm();
+///         let me = rank.world_rank();
+///         let r = catch_failures_async!(rank, async {
+///             if me == 0 {
+///                 rank.recv_a(&wc, 1).await; // blocks on the killed rank
+///             } else {
+///                 rank.send_a(&wc, 0, &[1.0]).await; // killed here
+///             }
+///         });
+///         r.is_err()
 ///     });
 /// assert_eq!(out.values, vec![true, true]);
 /// ```
 ///
 /// The expansion brackets the body with [`Rank::fault_watch_arm`] /
 /// [`Rank::fault_watch_restore`] and polls it through
-/// [`catch_fault_panics`], so the scope semantics match the sync form
-/// exactly.
+/// [`catch_fault_panics`].
 #[macro_export]
 macro_rules! catch_failures_async {
     ($rank:expr, $body:expr) => {{
@@ -181,14 +180,14 @@ macro_rules! catch_failures_async {
     }};
 }
 
-/// A simulated processor. Each rank runs on its own OS thread; the closure
-/// passed to [`World::run`](crate::World::run) receives `&mut Rank` and may
-/// keep arbitrary private state — the only inter-rank data path is
-/// [`Rank::send`] / [`Rank::recv`].
+/// A simulated processor. Each rank is a continuation on the world's
+/// event loop; the async closure passed to [`World::run`](crate::World::run)
+/// receives `&mut Rank` and may keep arbitrary private state — the only
+/// inter-rank data path is [`Rank::send_a`] / [`Rank::recv_a`].
 pub struct Rank {
     world_rank: usize,
-    world_members: Arc<Vec<usize>>,
-    fabric: Arc<Fabric>,
+    world_members: Rc<Vec<usize>>,
+    fabric: Rc<Fabric>,
     params: MachineParams,
     time: f64,
     meter: Meter,
@@ -214,7 +213,7 @@ pub struct Rank {
     /// Communication operations entered so far (the kill schedule's
     /// clock; only ticked when a fault plan is attached).
     op_count: u64,
-    /// Fault-epoch watermark while inside [`Rank::catch_failures`]; when
+    /// Fault-epoch watermark while inside [`catch_failures_async!`](crate::catch_failures_async); when
     /// the fabric's epoch moves past it, blocking operations raise a
     /// typed failure instead of waiting on a dead rank.
     fault_watch: Option<u64>,
@@ -228,8 +227,8 @@ impl Rank {
     #[allow(clippy::too_many_arguments)] // crate-internal constructor; World owns the knobs
     pub(crate) fn new(
         world_rank: usize,
-        world_members: Arc<Vec<usize>>,
-        fabric: Arc<Fabric>,
+        world_members: Rc<Vec<usize>>,
+        fabric: Rc<Fabric>,
         params: MachineParams,
         mem_limit: Option<u64>,
         trace: bool,
@@ -293,10 +292,7 @@ impl Rank {
         // observe the death that armed it.
         if let Some(at_epoch) = self.cascade_at {
             if self.fabric.fault_epoch() >= at_epoch {
-                let seed_note = match self.fabric.sched_repro().and_then(|r| r.env()) {
-                    Some(env) => format!("{env}, "),
-                    None => String::new(),
-                };
+                let seed_note = format!("{}, ", self.fabric.sched_repro().env());
                 let fault_seed = self.fabric.fault().map_or(0, |f| f.seed);
                 let detail = format!(
                     "rank {} killed by fault-plan entry cascade={}@{} (replay: {}fault seed {:#x})",
@@ -311,10 +307,7 @@ impl Rank {
         }
         self.op_count += 1;
         if self.kill_at == Some(self.op_count) {
-            let seed_note = match self.fabric.sched_repro().and_then(|r| r.env()) {
-                Some(env) => format!("{env}, "),
-                None => String::new(),
-            };
+            let seed_note = format!("{}, ", self.fabric.sched_repro().env());
             let fault_seed = self.fabric.fault().map_or(0, |f| f.seed);
             let detail = format!(
                 "rank {} killed by fault-plan entry kill={}@{} (replay: {}fault seed {:#x})",
@@ -331,7 +324,7 @@ impl Rank {
         self.fault_watch.is_some_and(|watch| self.fabric.fault_epoch() > watch)
     }
 
-    /// Unwind to the nearest [`Rank::catch_failures`] boundary because a
+    /// Unwind to the nearest [`catch_failures_async!`](crate::catch_failures_async) boundary because a
     /// peer died under us.
     fn raise_peer_failure(&self) -> ! {
         let dead = self.fabric.dead_ranks();
@@ -343,32 +336,9 @@ impl Rank {
         std::panic::panic_any(FaultPanic(RankFailed { rank, detail }));
     }
 
-    /// Run `f`, converting an injected rank failure — this rank killed by
-    /// the plan, or a peer dying while this rank was blocked on it — into
-    /// a typed [`RankFailed`] error instead of a thread panic. While the
-    /// scope is active, every blocking operation watches the fault epoch
-    /// and is kicked out promptly when any rank dies; outside a scope a
-    /// death surfaces through the watchdog / scheduler failure report.
-    /// Panics that are not injected faults propagate unchanged.
-    ///
-    /// After an `Err` the program must not reuse communicators that may
-    /// have been abandoned mid-collective: synchronize the survivors with
-    /// [`Rank::hard_sync`] and rebuild communicators from a
-    /// [`Rank::recovery_split`].
-    pub fn catch_failures<T>(&mut self, f: impl FnOnce(&mut Rank) -> T) -> Result<T, RankFailed> {
-        let watch = self.fault_watch_arm();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
-        self.fault_watch_restore(watch);
-        match result {
-            Ok(v) => Ok(v),
-            Err(payload) => Err(fault_panic_payload(payload)),
-        }
-    }
-
-    /// Open a fault-catching scope by hand: the async counterpart of
-    /// [`Rank::catch_failures`]. A closure-based async scope cannot be
-    /// expressed without `'static` bounds (the scoped future would have
-    /// to borrow both the rank and the closure's captures), so async
+    /// Open a fault-catching scope by hand. A closure-based async scope
+    /// cannot be expressed without `'static` bounds (the scoped future
+    /// would have to borrow both the rank and the closure's captures), so
     /// programs bracket the scope explicitly:
     ///
     /// ```text
@@ -378,9 +348,7 @@ impl Rank {
     /// ```
     ///
     /// or use the [`catch_failures_async!`](crate::catch_failures_async)
-    /// macro, which expands to exactly that. The scope contract (armed
-    /// ranks are kicked out of blocking operations promptly when a peer
-    /// dies) is identical to the sync form.
+    /// macro, which expands to exactly that.
     pub fn fault_watch_arm(&mut self) -> FaultWatch {
         let prev = self.fault_watch;
         self.fault_watch = Some(self.fabric.fault_epoch());
@@ -555,7 +523,7 @@ impl Rank {
     /// Tick the local component and snapshot the clock for attachment to
     /// an outgoing message; `None` when the audit is disabled for this
     /// world (large `P` — see `World::with_vclock_audit`).
-    fn vclock_stamp(&mut self) -> Option<Arc<[u64]>> {
+    fn vclock_stamp(&mut self) -> Option<Rc<[u64]>> {
         if self.vclock.is_empty() {
             return None;
         }
@@ -728,11 +696,6 @@ impl Rank {
     /// Cost model (eager/postal): the sender is busy for `α + βw`; the
     /// message arrives at `send_start + α + βw`, and the receiver is busy
     /// for `α + βw` after the later of (its own readiness, the send start).
-    pub fn send(&mut self, comm: &Comm, to: usize, payload: &[f64]) {
-        poll_now(self.send_a(comm, to, payload));
-    }
-
-    /// Async form of [`Rank::send`] (event-loop programs).
     pub async fn send_a(&mut self, comm: &Comm, to: usize, payload: &[f64]) {
         self.check_abort();
         self.fault_tick();
@@ -750,21 +713,12 @@ impl Rank {
             let op = TraceOp::Send { to_world: comm.world_rank_of(to) };
             self.trace_event(comm.ctx, op, w, retry, t0, t1);
         }
-        // Deterministic mode: record the post and yield the baton.
-        if self.fabric.is_event_loop() {
-            self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), w).await;
-        } else {
-            self.fabric.sched_post_event(self.world_rank, comm.ctx, comm.world_rank_of(to), w);
-        }
+        // Record the post and yield the baton.
+        self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), w).await;
     }
 
-    /// Blockingly receive the next message from member `from` of `comm`.
-    #[track_caller]
-    pub fn recv(&mut self, comm: &Comm, from: usize) -> Message {
-        poll_now(self.recv_a(comm, from))
-    }
-
-    /// Async form of [`Rank::recv`] (event-loop programs).
+    /// Receive the next message from member `from` of `comm`, suspending
+    /// until it arrives.
     #[track_caller]
     pub fn recv_a<'r>(
         &'r mut self,
@@ -807,12 +761,6 @@ impl Rank {
     /// data with no contention" rule, and what bandwidth-optimal collectives
     /// (recursive doubling/halving, bidirectional ring) rely on.
     #[track_caller]
-    pub fn sendrecv(&mut self, comm: &Comm, partner: usize, payload: &[f64]) -> Message {
-        self.exchange(comm, partner, partner, payload)
-    }
-
-    /// Async form of [`Rank::sendrecv`] (event-loop programs).
-    #[track_caller]
     pub fn sendrecv_a<'r>(
         &'r mut self,
         comm: &'r Comm,
@@ -829,12 +777,6 @@ impl Rank {
     /// the incoming message are ready — §3.1 allows simultaneous send and
     /// receive on the bidirectional links, and every rank is engaged in at
     /// most one send and one receive.
-    #[track_caller]
-    pub fn exchange(&mut self, comm: &Comm, to: usize, from: usize, payload: &[f64]) -> Message {
-        poll_now(self.exchange_a(comm, to, from, payload))
-    }
-
-    /// Async form of [`Rank::exchange`] (event-loop programs).
     #[track_caller]
     pub fn exchange_a<'r>(
         &'r mut self,
@@ -864,11 +806,7 @@ impl Rank {
                 let op = TraceOp::Send { to_world: comm.world_rank_of(to) };
                 self.trace_event(comm.ctx, op, ws, retry, t_entry, t_entry);
             }
-            if self.fabric.is_event_loop() {
-                self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), ws).await;
-            } else {
-                self.fabric.sched_post_event(self.world_rank, comm.ctx, comm.world_rank_of(to), ws);
-            }
+            self.fabric.yield_post(self.world_rank, comm.ctx, comm.world_rank_of(to), ws).await;
             let msg = self.match_directed(comm, from, site).await;
             self.vclock_observe(comm.ctx, from, comm.world_rank_of(from), &msg);
             let wr = msg.payload.len() as u64;
@@ -888,7 +826,7 @@ impl Rank {
 
     /// Post a nonblocking receive for the next message from member `from`
     /// of `comm`. The returned handle must be redeemed with
-    /// [`Rank::wait`]; handles from the same `(comm, from)` pair redeem in
+    /// [`Rank::wait_a`]; handles from the same `(comm, from)` pair redeem in
     /// FIFO order.
     ///
     /// The point of the nonblocking form is **overlap**: computation
@@ -896,7 +834,7 @@ impl Rank {
     /// the clock advances to `max(now, sent_at + α + βw)` — the receiver
     /// pays only the part of the transfer not already covered by its own
     /// elapsed work, instead of the full `α + βw` the blocking
-    /// [`Rank::recv`] charges after the rendezvous.
+    /// [`Rank::recv_a`] charges after the rendezvous.
     pub fn irecv(&mut self, comm: &Comm, from: usize) -> RecvRequest {
         assert!(from < comm.size(), "irecv source out of communicator");
         assert_ne!(from, comm.index(), "irecv from self is not allowed");
@@ -904,12 +842,6 @@ impl Rank {
     }
 
     /// Complete a nonblocking receive (see [`Rank::irecv`]).
-    #[track_caller]
-    pub fn wait(&mut self, req: RecvRequest, comm: &Comm) -> Message {
-        poll_now(self.wait_a(req, comm))
-    }
-
-    /// Async form of [`Rank::wait`] (event-loop programs).
     #[track_caller]
     pub fn wait_a<'r>(
         &'r mut self,
@@ -958,19 +890,8 @@ impl Rank {
         let from_world = comm.world_rank_of(from);
         loop {
             let fabric = self.fabric.clone();
-            let taken = if fabric.is_event_loop() {
-                fabric
-                    .take_any_a(
-                        comm.ctx,
-                        comm.index(),
-                        self.world_rank,
-                        from_world,
-                        site,
-                        self.fault_watch,
-                    )
-                    .await
-            } else {
-                fabric.take_any(
+            let taken = fabric
+                .take_any(
                     comm.ctx,
                     comm.index(),
                     self.world_rank,
@@ -978,7 +899,7 @@ impl Rank {
                     site,
                     self.fault_watch,
                 )
-            };
+                .await;
             let Some(msg) = taken else {
                 // Kicked out of the blocking wait: a rank died while we
                 // were waiting inside a catch_failures scope.
@@ -1006,12 +927,6 @@ impl Rank {
     /// and do not advance the clock (an implementation on a real machine
     /// would piggyback the group agreement on the setup phase).
     #[track_caller]
-    pub fn split(&mut self, comm: &Comm, color: i64, key: i64) -> Option<Comm> {
-        poll_now(self.split_a(comm, color, key))
-    }
-
-    /// Async form of [`Rank::split`] (event-loop programs).
-    #[track_caller]
     pub fn split_a<'r>(
         &'r mut self,
         comm: &'r Comm,
@@ -1027,22 +942,8 @@ impl Rank {
             self.collective_begin_at(comm, CollectiveOp::Split, 0, site).await;
             let seq = comm.next_split_seq();
             let fabric = self.fabric.clone();
-            let result = if fabric.is_event_loop() {
-                fabric
-                    .split_a(
-                        comm.ctx,
-                        comm.members(),
-                        seq,
-                        comm.index(),
-                        self.world_rank,
-                        color,
-                        key,
-                        site,
-                        self.fault_watch,
-                    )
-                    .await
-            } else {
-                fabric.split(
+            let result = fabric
+                .split(
                     comm.ctx,
                     comm.members(),
                     seq,
@@ -1053,7 +954,7 @@ impl Rank {
                     site,
                     self.fault_watch,
                 )
-            };
+                .await;
             let group = match result {
                 Err(FaultKick) => self.raise_peer_failure(),
                 Ok(None) => return None,
@@ -1071,7 +972,7 @@ impl Rank {
     }
 
     /// Rebuild a communicator over the **surviving** world ranks after a
-    /// fault (color 0, ordered by world rank). Unlike [`Rank::split`] this
+    /// fault (color 0, ordered by world rank). Unlike [`Rank::split_a`] this
     /// rendezvous lives outside the regular split-sequence and collective
     /// ledgers — survivors of a kill may have diverged arbitrarily in how
     /// many splits they issued before the failure, so recovery must not
@@ -1081,34 +982,14 @@ impl Rank {
     /// All survivors must call this with the same `round`; dead ranks are
     /// counted as opted out.
     #[track_caller]
-    pub fn recovery_split(&mut self, round: u64) -> Comm {
-        poll_now(self.recovery_split_a(round))
-    }
-
-    /// Async form of [`Rank::recovery_split`] (event-loop programs).
-    #[track_caller]
     pub fn recovery_split_a(&mut self, round: u64) -> impl Future<Output = Comm> + '_ {
         let site = Location::caller();
         async move {
             self.check_abort();
             let wc = self.world_comm();
             let fabric = self.fabric.clone();
-            let result = if fabric.is_event_loop() {
-                fabric
-                    .split_a(
-                        wc.ctx,
-                        wc.members(),
-                        RECOVERY_SPLIT_SEQ_BASE + round,
-                        wc.index(),
-                        self.world_rank,
-                        0,
-                        self.world_rank as i64,
-                        site,
-                        None,
-                    )
-                    .await
-            } else {
-                fabric.split(
+            let result = fabric
+                .split(
                     wc.ctx,
                     wc.members(),
                     RECOVERY_SPLIT_SEQ_BASE + round,
@@ -1119,7 +1000,7 @@ impl Rank {
                     site,
                     None,
                 )
-            };
+                .await;
             let group = match result {
                 Ok(Some(group)) => group,
                 Ok(None) | Err(FaultKick) => panic!(
@@ -1145,23 +1026,13 @@ impl Rank {
     /// plan are counted as arrived, so survivors can rally here after a
     /// failure.
     #[track_caller]
-    pub fn hard_sync(&mut self) {
-        poll_now(self.hard_sync_a());
-    }
-
-    /// Async form of [`Rank::hard_sync`] (event-loop programs).
-    #[track_caller]
     pub fn hard_sync_a(&mut self) -> impl Future<Output = ()> + '_ {
         let site = Location::caller();
         async move {
             self.check_abort();
             self.fault_tick();
             let fabric = self.fabric.clone();
-            if fabric.is_event_loop() {
-                fabric.hard_sync_a(self.world_rank, site).await;
-            } else {
-                fabric.hard_sync(self.world_rank, site);
-            }
+            fabric.hard_sync(self.world_rank, site).await;
         }
     }
 
@@ -1177,13 +1048,6 @@ impl Rank {
     /// Collective implementations (e.g. `pmm-collectives`) call this once
     /// at their entry point; user programs composed of raw sends/receives
     /// don't need it.
-    #[track_caller]
-    pub fn collective_begin(&mut self, comm: &Comm, op: CollectiveOp, elems: u64) {
-        poll_now(self.collective_begin_a(comm, op, elems));
-    }
-
-    /// Async form of [`Rank::collective_begin`] (event-loop programs —
-    /// and the async collective implementations in `pmm-collectives`).
     #[track_caller]
     pub fn collective_begin_a<'r>(
         &'r mut self,
@@ -1225,13 +1089,9 @@ impl Rank {
             let now = self.time;
             self.trace_event(comm.ctx, TraceOp::Collective { op, elems }, 0, 0, now, now);
         }
-        // Deterministic mode: collective entries are trace events and
-        // yield points, so schedules interleave across collectives too.
-        if self.fabric.is_event_loop() {
-            self.fabric.yield_collective(self.world_rank, comm.ctx(), op, elems).await;
-        } else {
-            self.fabric.sched_collective_event(self.world_rank, comm.ctx(), op, elems);
-        }
+        // Collective entries are trace events and yield points, so
+        // schedules interleave across collectives too.
+        self.fabric.yield_collective(self.world_rank, comm.ctx(), op, elems).await;
     }
 
     /// Description of messages received but never consumed by a directed
@@ -1264,16 +1124,16 @@ mod tests {
 
     #[test]
     fn ping_pong_content_and_meters() {
-        let out = World::new(2, bw()).run(|rank| {
+        let out = World::new(2, bw()).run(async |rank| {
             let wc = rank.world_comm();
             if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[1.0, 2.0, 3.0]);
-                let m = rank.recv(&wc, 1);
+                rank.send_a(&wc, 1, &[1.0, 2.0, 3.0]).await;
+                let m = rank.recv_a(&wc, 1).await;
                 m.payload.iter().sum::<f64>()
             } else {
-                let m = rank.recv(&wc, 0);
+                let m = rank.recv_a(&wc, 0).await;
                 let back: Vec<f64> = m.payload.iter().map(|x| x * 10.0).collect();
-                rank.send(&wc, 0, &back);
+                rank.send_a(&wc, 0, &back).await;
                 0.0
             }
         });
@@ -1288,14 +1148,14 @@ mod tests {
     fn clock_ping_pong_bandwidth_only() {
         // 0 sends 5 words (t: 0→5); 1 receives (t = max(0,0)+5 = 5), sends
         // 7 words back (t: 5→12); 0 receives (t = max(5,5)+7 = 12).
-        let out = World::new(2, bw()).run(|rank| {
+        let out = World::new(2, bw()).run(async |rank| {
             let wc = rank.world_comm();
             if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[0.0; 5]);
-                rank.recv(&wc, 1);
+                rank.send_a(&wc, 1, &[0.0; 5]).await;
+                rank.recv_a(&wc, 1).await;
             } else {
-                rank.recv(&wc, 0);
-                rank.send(&wc, 0, &[0.0; 7]);
+                rank.recv_a(&wc, 0).await;
+                rank.send_a(&wc, 0, &[0.0; 7]).await;
             }
             rank.time()
         });
@@ -1306,13 +1166,13 @@ mod tests {
     #[test]
     fn clock_includes_latency_and_flops() {
         let params = MachineParams::new(100.0, 1.0, 0.5);
-        let out = World::new(2, params).run(|rank| {
+        let out = World::new(2, params).run(async |rank| {
             let wc = rank.world_comm();
             rank.compute(10.0); // t = 5
             if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[0.0; 20]); // t = 5 + 100 + 20 = 125
+                rank.send_a(&wc, 1, &[0.0; 20]).await; // t = 5 + 100 + 20 = 125
             } else {
-                rank.recv(&wc, 0); // t = max(5, 5) + 120 = 125
+                rank.recv_a(&wc, 0).await; // t = max(5, 5) + 120 = 125
             }
             rank.time()
         });
@@ -1323,10 +1183,10 @@ mod tests {
     #[test]
     fn sendrecv_duplex_costs_once() {
         // Symmetric 8-word exchange: each side's clock advances by β·8 once.
-        let out = World::new(2, bw()).run(|rank| {
+        let out = World::new(2, bw()).run(async |rank| {
             let wc = rank.world_comm();
             let partner = 1 - rank.world_rank();
-            let m = rank.sendrecv(&wc, partner, &[rank.world_rank() as f64; 8]);
+            let m = rank.sendrecv_a(&wc, partner, &[rank.world_rank() as f64; 8]).await;
             (rank.time(), m.payload[0])
         });
         assert_eq!(out.values[0], (8.0, 1.0));
@@ -1340,16 +1200,16 @@ mod tests {
         // (arrival t = 100) hides behind the compute (t = 100) → t = 100.
         let params = MachineParams::new(0.0, 1.0, 1.0);
         let run = |overlap: bool| {
-            World::new(2, params).run(move |rank| {
+            World::new(2, params).run(async move |rank| {
                 let wc = rank.world_comm();
                 if rank.world_rank() == 0 {
-                    rank.send(&wc, 1, &[0.0; 100]);
+                    rank.send_a(&wc, 1, &[0.0; 100]).await;
                 } else if overlap {
                     let req = rank.irecv(&wc, 0);
                     rank.compute(100.0);
-                    rank.wait(req, &wc);
+                    rank.wait_a(req, &wc).await;
                 } else {
-                    rank.recv(&wc, 0);
+                    rank.recv_a(&wc, 0).await;
                     rank.compute(100.0);
                 }
                 rank.time()
@@ -1365,17 +1225,17 @@ mod tests {
 
     #[test]
     fn irecv_requests_redeem_in_fifo_order() {
-        let out = World::new(2, bw()).run(|rank| {
+        let out = World::new(2, bw()).run(async |rank| {
             let wc = rank.world_comm();
             if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[1.0]);
-                rank.send(&wc, 1, &[2.0]);
+                rank.send_a(&wc, 1, &[1.0]).await;
+                rank.send_a(&wc, 1, &[2.0]).await;
                 Vec::new()
             } else {
                 let r1 = rank.irecv(&wc, 0);
                 let r2 = rank.irecv(&wc, 0);
-                let a = rank.wait(r1, &wc).payload[0];
-                let b = rank.wait(r2, &wc).payload[0];
+                let a = rank.wait_a(r1, &wc).await.payload[0];
+                let b = rank.wait_a(r2, &wc).await.payload[0];
                 vec![a, b]
             }
         });
@@ -1388,14 +1248,14 @@ mod tests {
         // charges the remainder: compute 30 then wait on a 100-word message
         // ⇒ t = max(30, 100) = 100.
         let params = MachineParams::new(0.0, 1.0, 1.0);
-        let out = World::new(2, params).run(|rank| {
+        let out = World::new(2, params).run(async |rank| {
             let wc = rank.world_comm();
             if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[0.0; 100]);
+                rank.send_a(&wc, 1, &[0.0; 100]).await;
             } else {
                 let req = rank.irecv(&wc, 0);
                 rank.compute(30.0);
-                rank.wait(req, &wc);
+                rank.wait_a(req, &wc).await;
             }
             rank.time()
         });
@@ -1406,11 +1266,11 @@ mod tests {
     fn exchange_shifts_around_a_ring() {
         // Each of 5 ranks sends to the right, receives from the left; the
         // duplex clock advances by one β·w step.
-        let out = World::new(5, bw()).run(|rank| {
+        let out = World::new(5, bw()).run(async |rank| {
             let wc = rank.world_comm();
             let p = wc.size();
             let me = wc.index();
-            let m = rank.exchange(&wc, (me + 1) % p, (me + p - 1) % p, &[me as f64; 4]);
+            let m = rank.exchange_a(&wc, (me + 1) % p, (me + p - 1) % p, &[me as f64; 4]).await;
             (m.payload[0] as usize, rank.time())
         });
         for r in 0..5 {
@@ -1421,17 +1281,17 @@ mod tests {
 
     #[test]
     fn out_of_order_senders_are_matched_by_source() {
-        let out = World::new(3, bw()).run(|rank| {
+        let out = World::new(3, bw()).run(async |rank| {
             let wc = rank.world_comm();
             match rank.world_rank() {
                 0 => {
                     // Receive from 2 first even though 1 may arrive earlier.
-                    let a = rank.recv(&wc, 2).payload[0];
-                    let b = rank.recv(&wc, 1).payload[0];
+                    let a = rank.recv_a(&wc, 2).await.payload[0];
+                    let b = rank.recv_a(&wc, 1).await.payload[0];
                     a * 100.0 + b
                 }
                 r => {
-                    rank.send(&wc, 0, &[r as f64]);
+                    rank.send_a(&wc, 0, &[r as f64]).await;
                     0.0
                 }
             }
@@ -1441,15 +1301,19 @@ mod tests {
 
     #[test]
     fn fifo_per_sender_is_preserved() {
-        let out = World::new(2, bw()).run(|rank| {
+        let out = World::new(2, bw()).run(async |rank| {
             let wc = rank.world_comm();
             if rank.world_rank() == 1 {
                 for i in 0..10 {
-                    rank.send(&wc, 0, &[i as f64]);
+                    rank.send_a(&wc, 0, &[i as f64]).await;
                 }
                 Vec::new()
             } else {
-                (0..10).map(|_| rank.recv(&wc, 1).payload[0]).collect::<Vec<_>>()
+                let mut got = Vec::new();
+                for _ in 0..10 {
+                    got.push(rank.recv_a(&wc, 1).await.payload[0]);
+                }
+                got
             }
         });
         assert_eq!(out.values[0], (0..10).map(|i| i as f64).collect::<Vec<_>>());
@@ -1458,13 +1322,13 @@ mod tests {
     #[test]
     fn split_into_rows_and_exchange() {
         // 4 ranks in a 2x2 grid; split by row, exchange within row.
-        let out = World::new(4, bw()).run(|rank| {
+        let out = World::new(4, bw()).run(async |rank| {
             let wc = rank.world_comm();
             let row = (rank.world_rank() / 2) as i64;
-            let comm = rank.split(&wc, row, rank.world_rank() as i64).unwrap();
+            let comm = rank.split_a(&wc, row, rank.world_rank() as i64).await.unwrap();
             assert_eq!(comm.size(), 2);
             let partner = 1 - comm.index();
-            let m = rank.sendrecv(&comm, partner, &[rank.world_rank() as f64]);
+            let m = rank.sendrecv_a(&comm, partner, &[rank.world_rank() as f64]).await;
             m.payload[0]
         });
         assert_eq!(out.values, vec![1.0, 0.0, 3.0, 2.0]);
@@ -1473,14 +1337,15 @@ mod tests {
     #[test]
     fn nested_splits() {
         // 8 ranks → split into halves → split each half into pairs.
-        let out = World::new(8, bw()).run(|rank| {
+        let out = World::new(8, bw()).run(async |rank| {
             let wc = rank.world_comm();
             let r = rank.world_rank();
-            let half = rank.split(&wc, (r / 4) as i64, r as i64).unwrap();
+            let half = rank.split_a(&wc, (r / 4) as i64, r as i64).await.unwrap();
             assert_eq!(half.size(), 4);
-            let pair = rank.split(&half, (half.index() / 2) as i64, half.index() as i64).unwrap();
+            let pair =
+                rank.split_a(&half, (half.index() / 2) as i64, half.index() as i64).await.unwrap();
             assert_eq!(pair.size(), 2);
-            let m = rank.sendrecv(&pair, 1 - pair.index(), &[r as f64]);
+            let m = rank.sendrecv_a(&pair, 1 - pair.index(), &[r as f64]).await;
             m.payload[0] as usize
         });
         assert_eq!(out.values, vec![1, 0, 3, 2, 5, 4, 7, 6]);
@@ -1488,17 +1353,35 @@ mod tests {
 
     #[test]
     fn split_opt_out_with_negative_color() {
-        let out = World::new(4, bw()).run(|rank| {
+        let out = World::new(4, bw()).run(async |rank| {
             let wc = rank.world_comm();
             let color = if rank.world_rank() < 2 { 0 } else { -1 };
-            rank.split(&wc, color, 0).map(|c| c.size())
+            rank.split_a(&wc, color, 0).await.map(|c| c.size())
         });
         assert_eq!(out.values, vec![Some(2), Some(2), None, None]);
     }
 
     #[test]
+    fn split_orders_members_by_key_and_frees_its_rendezvous() {
+        // Color = rank % 2, key = -rank: members in descending rank order.
+        let out = World::new(4, bw()).run(async |rank| {
+            let wc = rank.world_comm();
+            let r = rank.world_rank();
+            let sub = rank.split_a(&wc, (r % 2) as i64, -(r as i64)).await.expect("color >= 0");
+            rank.hard_sync_a().await;
+            // Every member has read the result, so the slot is gone.
+            (sub.members().to_vec(), sub.ctx(), rank.fabric.open_splits())
+        });
+        assert_eq!(out.values[0].0, vec![2, 0]);
+        assert_eq!(out.values[1].0, vec![3, 1]);
+        assert_eq!(out.values[0].1, out.values[2].1, "one context per color");
+        assert_ne!(out.values[0].1, out.values[1].1, "distinct colors, distinct contexts");
+        assert!(out.values.iter().all(|v| v.2 == 0), "{:?}", out.values);
+    }
+
+    #[test]
     fn memory_tracking_and_limit() {
-        let out = World::new(1, bw()).with_memory_limit(Some(1000)).run(|rank| {
+        let out = World::new(1, bw()).with_memory_limit(Some(1000)).run(async |rank| {
             rank.mem_acquire(600);
             let err = rank.try_mem_acquire(500).unwrap_err();
             assert_eq!(err.limit, 1000);
@@ -1511,7 +1394,7 @@ mod tests {
 
     #[test]
     fn compute_meters_flops() {
-        let out = World::new(1, MachineParams::new(0.0, 0.0, 2.0)).run(|rank| {
+        let out = World::new(1, MachineParams::new(0.0, 0.0, 2.0)).run(async |rank| {
             rank.compute(21.0);
             (rank.meter().flops, rank.time())
         });
@@ -1520,13 +1403,13 @@ mod tests {
 
     #[test]
     fn traces_record_sends_and_recvs() {
-        let out = World::new(2, bw()).with_trace(true).run(|rank| {
+        let out = World::new(2, bw()).with_trace(true).run(async |rank| {
             let wc = rank.world_comm();
             rank.mark("phase-1");
             if rank.world_rank() == 0 {
-                rank.send(&wc, 1, &[1.0, 2.0]);
+                rank.send_a(&wc, 1, &[1.0, 2.0]).await;
             } else {
-                rank.recv(&wc, 0);
+                rank.recv_a(&wc, 0).await;
             }
         });
         let t0 = out.reports[0].trace.as_ref().unwrap();
@@ -1550,10 +1433,10 @@ mod tests {
 
     #[test]
     fn phase_scopes_bracket_events_at_no_cost() {
-        let out = World::new(2, bw()).with_trace(true).run(|rank| {
+        let out = World::new(2, bw()).with_trace(true).run(async |rank| {
             let wc = rank.world_comm();
             let partner = 1 - rank.world_rank();
-            crate::phase!(rank, "swap", rank.sendrecv(&wc, partner, &[0.0; 3]));
+            crate::phase!(rank, "swap", rank.sendrecv_a(&wc, partner, &[0.0; 3]).await);
             rank.time()
         });
         assert_eq!(out.values[0], 3.0, "phase scopes must not advance the clock");
@@ -1567,7 +1450,7 @@ mod tests {
 
     #[test]
     fn disabled_trace_records_nothing() {
-        let out = World::new(1, bw()).run(|rank| {
+        let out = World::new(1, bw()).run(async |rank| {
             rank.phase_begin("p");
             rank.compute(4.0);
             rank.phase_end("p");

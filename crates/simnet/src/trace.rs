@@ -1,12 +1,12 @@
 //! Deterministic-schedule event traces: recording, canonical rendering,
 //! golden-trace replay assertions, and a schedule fuzzer.
 //!
-//! When a [`World`] is built with [`World::with_seed`], the fabric runs a
-//! cooperative seeded scheduler (see `fabric.rs`): exactly one rank
-//! executes at a time, the baton is handed over at every blocking point
-//! (mailbox receive, split rendezvous, barrier) and at every send /
-//! collective entry, and ties among runnable ranks are broken with a
-//! seeded PRNG. Every scheduling decision and every fabric event is
+//! Every [`World`] runs under a cooperative deterministic scheduler (see
+//! `fabric.rs`): exactly one rank executes at a time, and the baton is
+//! handed over at every blocking point (mailbox receive, split
+//! rendezvous, barrier) and at every send / collective entry. When the
+//! world is built with [`World::with_seed`], ties among runnable ranks
+//! are broken with a seeded PRNG. Every scheduling decision and every fabric event is
 //! appended to a totally-ordered log — the [`ScheduleTrace`] returned in
 //! [`WorldResult::schedule_trace`] — so identical `(program, seed)` pairs
 //! produce **byte-identical** traces ([`ScheduleTrace::render`]).
@@ -174,14 +174,12 @@ impl std::str::FromStr for Schedule {
 
 /// The canonical replay recipe for one run — *the* single place failure
 /// paths get their repro hint from, whether the run was seeded, was
-/// steered by a choice prefix, or ran free. Every schedule-sensitive
+/// steered by a choice prefix. Every schedule-sensitive
 /// failure message in this workspace renders one of these (via
 /// [`Repro::hint`] for the one-line recipe or [`Repro::note`] for the
 /// bracketed context suffix) instead of hand-formatting env vars.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Repro {
-    /// The run was not deterministic; there is nothing to replay.
-    Unseeded,
     /// Replay by seed: `PMM_SEED=<seed>`.
     Seed(u64),
     /// Replay by choice prefix: `PMM_SCHEDULE=prefix:<r0,r1,...>`.
@@ -190,30 +188,24 @@ pub enum Repro {
 
 impl Repro {
     /// The bare environment-variable assignment that replays this
-    /// schedule (`PMM_SEED=7`, `PMM_SCHEDULE=prefix:0,2,1`), or `None`
-    /// when the run was not deterministic. The single source of truth
-    /// every repro-printing failure path formats from.
-    pub fn env(&self) -> Option<String> {
+    /// schedule (`PMM_SEED=7`, `PMM_SCHEDULE=prefix:0,2,1`). The single
+    /// source of truth every repro-printing failure path formats from.
+    pub fn env(&self) -> String {
         match self {
-            Repro::Unseeded => None,
-            Repro::Seed(seed) => Some(format!("{SEED_ENV}={seed}")),
-            Repro::Prefix(p) => Some(format!("{SCHEDULE_ENV}={}", Schedule::Prefix(p.clone()))),
+            Repro::Seed(seed) => format!("{SEED_ENV}={seed}"),
+            Repro::Prefix(p) => format!("{SCHEDULE_ENV}={}", Schedule::Prefix(p.clone())),
         }
     }
 
     /// One-line replay recipe in env-var form.
     pub fn hint(&self) -> String {
-        match self.env() {
-            None => "use World::with_seed(..) to make this run replayable".to_string(),
-            Some(env) => format!("re-run with {env} to replay this schedule"),
-        }
+        format!("re-run with {} to replay this schedule", self.env())
     }
 
     /// The bracketed context note world-level failure messages append:
     /// what kind of schedule ran, plus the replay recipe.
     pub fn note(&self) -> String {
         match self {
-            Repro::Unseeded => format!("nondeterministic schedule (no seed); {}", self.hint()),
             Repro::Seed(seed) => format!("schedule seed {seed}; {}", self.hint()),
             Repro::Prefix(p) => {
                 format!("deterministic schedule prefix ({} choices); {}", p.len(), self.hint())
@@ -465,8 +457,8 @@ pub fn fuzz_schedules<T, F>(
     program: F,
 ) -> Result<(), ScheduleDivergence>
 where
-    T: Send + PartialEq + std::fmt::Debug,
-    F: Fn(&mut Rank) -> T + Send + Sync,
+    T: PartialEq + std::fmt::Debug,
+    F: AsyncFn(&mut Rank) -> T,
 {
     assert!(!seeds.is_empty(), "fuzz_schedules needs at least one seed");
     let mut baseline: Option<(u64, crate::world::WorldResult<T>)> = None;
@@ -588,7 +580,10 @@ mod tests {
         assert!(Repro::Seed(7).hint().contains("PMM_SEED=7"));
         let p = Repro::Prefix(vec![0, 2, 1]);
         assert!(p.hint().contains("PMM_SCHEDULE=prefix:0,2,1"), "{}", p.hint());
-        assert!(Repro::Unseeded.hint().contains("with_seed"));
+        // A world without a schedule replays from the empty prefix.
+        let empty = Repro::Prefix(Vec::new());
+        assert_eq!(empty.env(), "PMM_SCHEDULE=prefix:");
+        assert_eq!("prefix:".parse::<Schedule>().unwrap(), Schedule::Prefix(Vec::new()));
         assert!(Repro::Seed(9).note().contains("schedule seed 9"));
         assert!(Repro::Prefix(vec![1]).note().contains("1 choices"));
     }

@@ -27,13 +27,13 @@
 //! use pmm_simnet::{Tracer, World};
 //!
 //! // Rank 0 streams 4 words to rank 1 inside a labelled phase.
-//! let out = World::new(2, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(|rank| {
+//! let out = World::new(2, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(async |rank| {
 //!     let wc = rank.world_comm();
 //!     rank.phase_begin("exchange");
 //!     if rank.world_rank() == 0 {
-//!         rank.send(&wc, 1, &[1.0; 4]);
+//!         rank.send_a(&wc, 1, &[1.0; 4]).await;
 //!     } else {
-//!         rank.recv(&wc, 0);
+//!         rank.recv_a(&wc, 0).await;
 //!     }
 //!     rank.phase_end("exchange");
 //! });
@@ -74,7 +74,7 @@ pub enum TraceOp {
         flops: f64,
     },
     /// Entry into a collective (emitted by
-    /// [`Rank::collective_begin`](crate::Rank::collective_begin), which every
+    /// [`Rank::collective_begin_a`](crate::Rank::collective_begin_a), which every
     /// `pmm-collectives` entry point calls).
     Collective {
         /// The collective kind.
@@ -617,7 +617,7 @@ fn json_str(s: &str) -> String {
 /// use pmm_model::MachineParams;
 /// use pmm_simnet::{phase, World};
 ///
-/// let out = World::new(1, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(|rank| {
+/// let out = World::new(1, MachineParams::BANDWIDTH_ONLY).with_trace(true).run(async |rank| {
 ///     phase!(rank, "local multiply", {
 ///         rank.compute(8.0);
 ///         42

@@ -1,20 +1,18 @@
 //! pmm-verify: communication-correctness checking for the simulator.
 //!
 //! The simulator executes schedules with real blocking — a mismatched or
-//! misordered collective would, like under MPI, hang every rank forever,
-//! and a hang in `cargo test` is indistinguishable from a slow run. This
-//! module makes communication correctness a *checked* property:
+//! misordered collective would, like under MPI, leave ranks waiting
+//! forever. This module makes communication correctness a *checked*
+//! property:
 //!
-//! 1. **Waiting-on registry + watchdog.** Every blocking point in the
-//!    fabric (mailbox receive, split rendezvous, the hard-sync barrier)
-//!    registers a `WaitInfo` describing what the rank is waiting for
-//!    and which world ranks could unblock it. A watchdog thread (enabled
-//!    by default in debug builds; see [`World::with_watchdog`]) builds
-//!    the wait-for graph, runs a can-any-rank-progress fixpoint, and —
-//!    when a set of blocked ranks is provably stuck across two
-//!    consecutive scans — aborts the world with a report naming each
-//!    blocked rank, the operation kind, the communicator context, and
-//!    the call site, instead of hanging.
+//! 1. **Waiting-on registry + deadlock reports.** Every blocking point in
+//!    the fabric (mailbox receive, split rendezvous, the hard-sync
+//!    barrier) registers a `WaitInfo` describing what the rank is waiting
+//!    for and which world ranks could unblock it. When the scheduler
+//!    finds no runnable rank while some rank is blocked, it aborts the
+//!    world with a report naming each blocked rank, the operation kind,
+//!    the communicator context, the call site, and the wait-for cycle,
+//!    instead of hanging.
 //!
 //! 2. **Collective-matching lint.** Every collective registers a
 //!    `CallDesc` (op kind, element count, call site) against a
@@ -30,26 +28,17 @@
 //!    fabric), and strict-drain worlds additionally verify at exit that
 //!    every metered send was matched by a metered receive — i.e. that
 //!    cost accounting only merges along communication edges.
-//!
-//! [`World::with_watchdog`]: crate::World::with_watchdog
 
+use std::cell::{Cell, Ref, RefCell};
+use std::collections::HashMap;
 use std::panic::Location;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 use crate::fabric::Ctx;
 
-/// Lock a mutex, ignoring poisoning: verify state must stay readable
-/// while rank threads are being torn down by an abort panic.
-pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The kind of collective operation, as registered with the
-/// collective-matching lint by [`Rank::collective_begin`].
+/// collective-matching lint by [`Rank::collective_begin_a`].
 ///
-/// [`Rank::collective_begin`]: crate::Rank::collective_begin
+/// [`Rank::collective_begin_a`]: crate::Rank::collective_begin_a
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveOp {
     /// All-Gather (uniform or `v`-variant; per-rank contributions may
@@ -136,8 +125,6 @@ pub(crate) enum WaitKind {
     Recv {
         /// Sender's world rank.
         from_world: usize,
-        /// This rank's index within the communicator (mailbox key).
-        ctx_index: usize,
     },
     /// Blocked in a communicator-split rendezvous.
     Split {
@@ -145,10 +132,7 @@ pub(crate) enum WaitKind {
         seq: u64,
     },
     /// Blocked in the zero-cost world barrier.
-    Barrier {
-        /// Barrier generation the rank entered on.
-        generation: u64,
-    },
+    Barrier,
 }
 
 impl std::fmt::Display for WaitKind {
@@ -156,7 +140,7 @@ impl std::fmt::Display for WaitKind {
         match self {
             WaitKind::Recv { from_world, .. } => write!(f, "recv(from world rank {from_world})"),
             WaitKind::Split { seq } => write!(f, "comm split rendezvous (split #{seq})"),
-            WaitKind::Barrier { .. } => write!(f, "world barrier"),
+            WaitKind::Barrier => write!(f, "world barrier"),
         }
     }
 }
@@ -173,130 +157,93 @@ pub(crate) struct WaitInfo {
     pub site: &'static Location<'static>,
 }
 
-/// Per-rank verify slot. `gen` counts wait-state transitions; the
-/// watchdog uses it to distinguish "still stuck in the same wait" from
-/// "briefly blocked again".
-#[derive(Debug, Default)]
-struct RankSlot {
-    wait: Option<WaitInfo>,
-    gen: u64,
-    done: bool,
-}
-
-/// Snapshot of one rank's verify slot, taken by the watchdog.
-#[derive(Debug, Clone)]
-pub(crate) struct SlotView {
-    pub wait: Option<WaitInfo>,
-    pub gen: u64,
-    pub done: bool,
-}
-
 /// Panic payload used when a rank is torn down by a verifier abort. The
 /// world run distinguishes these from genuine program panics and
 /// re-raises the verifier report instead.
 pub(crate) struct AbortPanic(pub String);
 
-/// Shared verify state; owned by the fabric, one per world.
+/// Verify state; owned by the fabric, one per world.
 pub(crate) struct VerifyState {
-    slots: Vec<Mutex<RankSlot>>,
-    aborted: AtomicBool,
-    report: Mutex<Option<String>>,
-    ledger: Mutex<std::collections::HashMap<Ctx, CommLedger>>,
+    /// What each world rank is blocked on, if anything.
+    waits: RefCell<Vec<Option<WaitInfo>>>,
+    aborted: Cell<bool>,
+    report: RefCell<Option<String>>,
+    ledger: RefCell<HashMap<Ctx, CommLedger>>,
     /// One line per injected rank death, naming the fault-plan entry and
-    /// the replay seed. Consulted by the watchdog and scheduler so a kill
-    /// is reported as a rank failure, never as a spurious deadlock.
-    fault_notes: Mutex<Vec<String>>,
+    /// the replay seed. Consulted by the scheduler so a kill is reported
+    /// as a rank failure, never as a spurious deadlock.
+    fault_notes: RefCell<Vec<String>>,
 }
 
 impl VerifyState {
     pub fn new(world_size: usize) -> VerifyState {
         VerifyState {
-            slots: (0..world_size).map(|_| Mutex::new(RankSlot::default())).collect(),
-            aborted: AtomicBool::new(false),
-            report: Mutex::new(None),
-            ledger: Mutex::new(std::collections::HashMap::new()),
-            fault_notes: Mutex::new(Vec::new()),
+            waits: RefCell::new(vec![None; world_size]),
+            aborted: Cell::new(false),
+            report: RefCell::new(None),
+            ledger: RefCell::new(HashMap::new()),
+            fault_notes: RefCell::new(Vec::new()),
         }
     }
 
     /// Record an injected rank death (fault layer use).
     pub fn note_rank_failure(&self, line: String) {
-        lock_unpoisoned(&self.fault_notes).push(line);
+        self.fault_notes.borrow_mut().push(line);
     }
 
     /// Lines describing injected rank deaths so far, in death order.
     pub fn rank_failures(&self) -> Vec<String> {
-        lock_unpoisoned(&self.fault_notes).clone()
+        self.fault_notes.borrow().clone()
     }
 
     pub fn world_size(&self) -> usize {
-        self.slots.len()
+        self.waits.borrow().len()
     }
 
     /// Register that `world_rank` is about to block.
     pub fn set_wait(&self, world_rank: usize, info: WaitInfo) {
-        let mut slot = lock_unpoisoned(&self.slots[world_rank]);
-        slot.wait = Some(info);
-        slot.gen += 1;
+        self.waits.borrow_mut()[world_rank] = Some(info);
     }
 
-    /// Clear `world_rank`'s wait registration (it made progress).
+    /// Clear `world_rank`'s wait registration (it made progress, or
+    /// finished).
     pub fn clear_wait(&self, world_rank: usize) {
-        let mut slot = lock_unpoisoned(&self.slots[world_rank]);
-        slot.wait = None;
-        slot.gen += 1;
+        self.waits.borrow_mut()[world_rank] = None;
     }
 
-    /// Mark `world_rank` finished (normally or by panic) — it will take
-    /// no further fabric actions.
-    pub fn mark_done(&self, world_rank: usize) {
-        let mut slot = lock_unpoisoned(&self.slots[world_rank]);
-        slot.wait = None;
-        slot.done = true;
-        slot.gen += 1;
+    /// Every rank's registered wait (deadlock reports).
+    pub fn waits(&self) -> Ref<'_, Vec<Option<WaitInfo>>> {
+        self.waits.borrow()
     }
 
     /// Whether the world has been aborted by the verifier.
     pub fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::SeqCst)
+        self.aborted.get()
     }
 
     /// First abort wins; returns whether this call set the flag.
     pub fn try_set_aborted(&self, report: String) -> bool {
-        let mut stored = lock_unpoisoned(&self.report);
-        if self.aborted.swap(true, Ordering::SeqCst) {
+        if self.aborted.replace(true) {
             return false;
         }
-        *stored = Some(report);
+        *self.report.borrow_mut() = Some(report);
         true
     }
 
     /// The abort report, if any.
     pub fn report_text(&self) -> Option<String> {
-        lock_unpoisoned(&self.report).clone()
+        self.report.borrow().clone()
     }
 
     /// Panic this rank out of a blocking wait after an abort.
     pub fn abort_panic(&self, world_rank: usize) -> ! {
-        self.mark_done(world_rank);
+        self.clear_wait(world_rank);
         let report = self
             .report_text()
             .unwrap_or_else(|| "pmm-verify: world aborted with no stored report".to_string());
         std::panic::panic_any(AbortPanic(format!(
             "pmm-verify: rank {world_rank} torn down by verifier abort\n{report}"
         )));
-    }
-
-    /// Snapshot all slots (watchdog use; slot locks are leaves, taken one
-    /// at a time).
-    pub fn snapshot(&self) -> Vec<SlotView> {
-        self.slots
-            .iter()
-            .map(|s| {
-                let slot = lock_unpoisoned(s);
-                SlotView { wait: slot.wait.clone(), gen: slot.gen, done: slot.done }
-            })
-            .collect()
     }
 
     /// Register the next collective call of member `member_index` of the
@@ -315,7 +262,7 @@ impl VerifyState {
         elems: u64,
         site: &'static Location<'static>,
     ) -> Result<(), String> {
-        let mut ledger = lock_unpoisoned(&self.ledger);
+        let mut ledger = self.ledger.borrow_mut();
         let cl = ledger.entry(ctx).or_insert_with(|| CommLedger::new(comm_size));
         assert_eq!(
             cl.size, comm_size,
@@ -366,7 +313,7 @@ impl VerifyState {
     /// every communicator (for deadlock reports).
     pub fn all_pending_collectives(&self) -> Vec<String> {
         let ctxs: Vec<Ctx> = {
-            let ledger = lock_unpoisoned(&self.ledger);
+            let ledger = self.ledger.borrow();
             let mut ctxs: Vec<Ctx> = ledger.keys().copied().collect();
             ctxs.sort_unstable();
             ctxs
@@ -377,7 +324,7 @@ impl VerifyState {
     /// Human-readable lines describing partially-entered collectives on
     /// `ctx` (for deadlock reports).
     pub fn pending_collectives(&self, ctx: Ctx) -> Vec<String> {
-        let ledger = lock_unpoisoned(&self.ledger);
+        let ledger = self.ledger.borrow();
         let mut lines = Vec::new();
         if let Some(cl) = ledger.get(&ctx) {
             let mut seqs: Vec<u64> = cl.rounds.keys().copied().collect();
@@ -417,12 +364,12 @@ struct CommLedger {
     /// Per-member count of collectives registered so far.
     next_seq: Vec<u64>,
     /// Partially-entered collectives, keyed by sequence number.
-    rounds: std::collections::HashMap<u64, Round>,
+    rounds: HashMap<u64, Round>,
 }
 
 impl CommLedger {
     fn new(size: usize) -> CommLedger {
-        CommLedger { size, next_seq: vec![0; size], rounds: std::collections::HashMap::new() }
+        CommLedger { size, next_seq: vec![0; size], rounds: HashMap::new() }
     }
 }
 
@@ -435,30 +382,6 @@ struct Round {
 impl Round {
     fn new(size: usize) -> Round {
         Round { descs: vec![None; size], registered: 0 }
-    }
-}
-
-/// Watchdog configuration of a [`World`](crate::World).
-#[derive(Debug, Clone, Copy)]
-pub struct VerifyConfig {
-    /// Scan interval of the deadlock watchdog, or `None` to disable.
-    /// A confirmed deadlock is reported after two consecutive stable
-    /// scans, i.e. within roughly three intervals.
-    pub watchdog: Option<Duration>,
-    /// When set, the world additionally fails if any message was sent
-    /// but never received (undrained mailboxes or stashes at exit), and
-    /// verifies global meter conservation.
-    pub strict_drain: bool,
-}
-
-impl Default for VerifyConfig {
-    fn default() -> VerifyConfig {
-        VerifyConfig {
-            // Debug builds (which is what `cargo test` runs) get hang
-            // protection by default; release/bench runs opt in.
-            watchdog: if cfg!(debug_assertions) { Some(Duration::from_secs(2)) } else { None },
-            strict_drain: false,
-        }
     }
 }
 

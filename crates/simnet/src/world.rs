@@ -1,77 +1,41 @@
-//! World construction: run a rank program on an execution engine —
-//! the single-threaded deterministic event loop ([`Engine::EventLoop`],
-//! the primary engine for async programs) or one OS thread per rank
-//! ([`Engine::Threads`]) — and collect reports.
+//! World construction: run a rank program on the single-threaded
+//! deterministic event loop and collect reports.
 
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-use std::time::Duration;
 
 use pmm_model::{Cost, MachineParams};
 
-use crate::engine::{engine_from_env, poll_now, Engine, LocalBoxFuture};
 use crate::fabric::Fabric;
 use crate::fault::{FaultPanic, FaultPlan};
 use crate::meter::Meter;
 use crate::rank::Rank;
 use crate::trace::{ChoicePoint, Repro, Schedule, ScheduleTrace};
 use crate::tracer::{TraceEvent, Tracer};
-use crate::verify::{lock_unpoisoned, AbortPanic, VerifyConfig, VerifyState};
+use crate::verify::AbortPanic;
 
 /// Worlds at or below this size run the vector-clock happens-before
 /// audit by default; larger worlds skip it (each stamp copies an O(P)
 /// clock onto every message, which is O(P²) total — prohibitive at the
-/// 10^5–10^6 scales the event-loop engine targets). Override with
+/// 10^5–10^6 scales the event loop targets). Override with
 /// [`World::with_vclock_audit`].
 const VCLOCK_AUDIT_MAX_WORLD: usize = 4096;
 
-/// Marks a rank `done` in the verify registry on scope exit — including
-/// panics — so the watchdog treats dead ranks as inert (anyone blocked on
-/// them is then provably deadlocked, not "maybe about to be served").
-struct DoneGuard<'a> {
-    verify: &'a VerifyState,
-    rank: usize,
-}
-
-impl Drop for DoneGuard<'_> {
-    fn drop(&mut self) {
-        self.verify.mark_done(self.rank);
-    }
-}
-
-/// Retires a rank from the deterministic scheduler on scope exit —
-/// including panics — so the baton is handed on (or a deadlock among the
-/// survivors is reported) when a rank dies. No-op in free-running mode.
-struct SchedGuard<'a> {
-    fabric: &'a Fabric,
-    rank: usize,
-}
-
-impl Drop for SchedGuard<'_> {
-    fn drop(&mut self) {
-        self.fabric.sched_finish(self.rank);
-    }
-}
-
-/// Rank threads torn down by a verifier abort die via a sentinel
-/// [`AbortPanic`] that `World::run` filters out — but each such death
-/// would also print the default "thread panicked" message and backtrace,
-/// burying the one report that matters under per-rank teardown noise.
-/// Chain a process-wide panic hook (installed once; everything that is
-/// not the sentinel is delegated to the previously installed hook) that
-/// swallows exactly that sentinel.
+/// Ranks torn down by a verifier abort or an injected kill unwind with a
+/// sentinel payload ([`AbortPanic`], `FaultPanic`) that the event loop
+/// catches and classifies — but each such unwind would also print the
+/// default "panicked at" message, burying the one report that matters
+/// under per-rank teardown noise. Chain a process-wide panic hook
+/// (installed once; everything that is not a sentinel is delegated to the
+/// previously installed hook) that swallows exactly those sentinels.
 fn silence_abort_teardown_panics() {
     static HOOK: std::sync::Once = std::sync::Once::new();
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            // FaultPanic is the injected-kill sentinel: either the program
-            // converts it to a typed error via Rank::catch_failures, or
-            // World::run raises a single rank-failure report after the
-            // joins. Per-thread noise helps neither case.
             if info.payload().downcast_ref::<AbortPanic>().is_none()
                 && info.payload().downcast_ref::<FaultPanic>().is_none()
             {
@@ -86,7 +50,7 @@ fn silence_abort_teardown_panics() {
 /// ```
 /// use pmm_simnet::{World, MachineParams};
 /// let result = World::new(8, MachineParams::BANDWIDTH_ONLY)
-///     .run(|rank| rank.world_rank() * 2);
+///     .run(async |rank| rank.world_rank() * 2);
 /// assert_eq!(result.values[3], 6);
 /// ```
 #[derive(Clone)]
@@ -95,13 +59,11 @@ pub struct World {
     params: MachineParams,
     mem_limit: Option<u64>,
     trace: bool,
-    stack_bytes: usize,
-    verify: VerifyConfig,
+    strict_drain: bool,
     schedule: Option<Schedule>,
     faults: Option<FaultPlan>,
-    engine: Option<Engine>,
-    record_schedule: bool,
-    targeted_wakeup: bool,
+    record_schedule: Option<bool>,
+    targeted_wakeup: Option<bool>,
     vclock_audit: Option<bool>,
 }
 
@@ -119,24 +81,22 @@ impl World {
             params,
             mem_limit: None,
             trace: false,
-            stack_bytes: 4 << 20,
-            verify: VerifyConfig::default(),
+            strict_drain: false,
             schedule: None,
             faults: None,
-            engine: None,
-            record_schedule: true,
-            targeted_wakeup: false,
+            record_schedule: None,
+            targeted_wakeup: None,
             vclock_audit: None,
         }
     }
 
-    /// Run under the seeded deterministic scheduler: rank progress is
-    /// serialized at every blocking point (mailbox receive, split
-    /// rendezvous, barrier) and at every send / collective entry, with
-    /// ties among runnable ranks broken by a PRNG seeded with `seed`.
-    /// Identical `(program, seed)` pairs produce byte-identical schedule
-    /// traces ([`WorldResult::schedule_trace`]); failure reports name the
-    /// seed and a `PMM_SEED=` repro command. See also
+    /// Run under a seeded schedule: rank progress is serialized at every
+    /// blocking point (mailbox receive, split rendezvous, barrier) and at
+    /// every send / collective entry, with ties among runnable ranks
+    /// broken by a PRNG seeded with `seed`. Identical `(program, seed)`
+    /// pairs produce byte-identical schedule traces
+    /// ([`WorldResult::schedule_trace`]); failure reports name the seed
+    /// and a `PMM_SEED=` repro command. See also
     /// [`seed_from_env`](crate::trace::seed_from_env) and
     /// [`fuzz_schedules`](crate::trace::fuzz_schedules).
     #[must_use]
@@ -144,61 +104,57 @@ impl World {
         self.with_schedule(Schedule::Seeded(seed))
     }
 
-    /// Run under the deterministic scheduler with an explicit
-    /// [`Schedule`]: either [`Schedule::Seeded`] (what [`World::with_seed`]
-    /// is sugar for) or [`Schedule::Prefix`] — replay a recorded choice
-    /// prefix pick by pick, then complete canonically by always picking
-    /// the smallest runnable rank. Prefix runs record the same trace and
-    /// [`ChoicePoint`] stream as seeded runs ([`WorldResult::choice_points`]),
-    /// which is what schedule-space exploration (`pmm-explore`) drives:
-    /// each explored branch is just a `World` run with a longer prefix.
+    /// Run under an explicit [`Schedule`]: either [`Schedule::Seeded`]
+    /// (what [`World::with_seed`] is sugar for) or [`Schedule::Prefix`] —
+    /// replay a recorded choice prefix pick by pick, then complete
+    /// canonically by always picking the smallest runnable rank. Prefix
+    /// runs record the same trace and [`ChoicePoint`] stream as seeded
+    /// runs ([`WorldResult::choice_points`]), which is what
+    /// schedule-space exploration (`pmm-explore`) drives: each explored
+    /// branch is just a `World` run with a longer prefix.
+    ///
+    /// A world given no schedule runs the canonical completion from its
+    /// first pick, records nothing, and wakes blocked ranks by target
+    /// (see [`World::with_targeted_wakeup`]); its failure reports name
+    /// the empty prefix, which replays them.
     #[must_use]
     pub fn with_schedule(mut self, schedule: Schedule) -> World {
         self.schedule = Some(schedule);
         self
     }
 
-    /// Pin the execution engine for [`World::run_async`] /
-    /// [`World::try_run_async`], overriding the `PMM_ENGINE` environment
-    /// variable (see [`crate::engine`] for the selection precedence).
-    /// Sync-closure [`World::run`] / [`World::try_run`] always use the
-    /// thread backend: a sync closure cannot suspend, and blocking the
-    /// single event-loop thread would wedge the whole world.
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> World {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// Toggle recording of the [`ScheduleTrace`] / [`ChoicePoint`] stream
-    /// on deterministic runs (on by default). Large-`P` runs turn this
-    /// off: the recorded ready-set snapshot is O(P) *per pick*, which is
-    /// the difference between executing 10^6 ranks and drowning in
-    /// bookkeeping. With recording off, [`WorldResult::schedule_trace`]
-    /// and [`WorldResult::choice_points`] are `None` even on seeded runs.
+    /// Turn recording of the [`ScheduleTrace`] / [`ChoicePoint`] stream
+    /// on or off. By default worlds given a schedule record and worlds
+    /// without one do not: the recorded ready-set snapshot is O(P) *per
+    /// pick*, which is the difference between executing 10^6 ranks and
+    /// drowning in bookkeeping. With recording off,
+    /// [`WorldResult::schedule_trace`] and [`WorldResult::choice_points`]
+    /// are `None`.
     #[must_use]
     pub fn with_schedule_recording(mut self, record: bool) -> World {
-        self.record_schedule = record;
+        self.record_schedule = Some(record);
         self
     }
 
-    /// Opt into targeted wakeups in the deterministic scheduler: a rank
-    /// blocked on a mailbox / split / barrier becomes runnable only when
-    /// *that* resource is touched, instead of at every unblock broadcast.
-    /// This keeps the runnable set small at large `P` (fewer spurious
+    /// Choose the wake-up policy: with targeted wakeups a rank blocked on
+    /// a mailbox / split / barrier becomes runnable only when *that*
+    /// resource is touched, instead of at every unblock broadcast. This
+    /// keeps the runnable set small at large `P` (fewer spurious
     /// ready→blocked→ready round trips), but changes which ranks are
     /// runnable at each pick and therefore the schedule stream — seeded
-    /// golden traces recorded without it will not match. Off by default.
+    /// golden traces recorded without it will not match. By default
+    /// worlds without a schedule wake by target and worlds given one
+    /// broadcast.
     #[must_use]
     pub fn with_targeted_wakeup(mut self, targeted: bool) -> World {
-        self.targeted_wakeup = targeted;
+        self.targeted_wakeup = Some(targeted);
         self
     }
 
     /// Force the vector-clock happens-before audit on or off. By default
     /// it is on for worlds of at most 4096 ranks and off above that
     /// (every message would carry an O(P) clock — O(P²) words of pure
-    /// bookkeeping at the scales the event engine targets).
+    /// bookkeeping at the scales the event loop targets).
     #[must_use]
     pub fn with_vclock_audit(mut self, audit: bool) -> World {
         self.vclock_audit = Some(audit);
@@ -208,12 +164,6 @@ impl World {
     /// Whether ranks of this world stamp and audit vector clocks.
     fn vclock_audit_on(&self) -> bool {
         self.vclock_audit.unwrap_or(self.size <= VCLOCK_AUDIT_MAX_WORLD)
-    }
-
-    /// The engine [`World::run_async`] will use: explicit builder choice,
-    /// else `PMM_ENGINE`, else the event loop.
-    fn resolved_engine(&self) -> Engine {
-        self.engine.unwrap_or_else(|| engine_from_env(Engine::EventLoop))
     }
 
     /// Attach a fault plan: message-level faults (drop / duplicate /
@@ -251,34 +201,6 @@ impl World {
         self
     }
 
-    /// Per-rank thread stack size (default 4 MiB).
-    #[must_use]
-    pub fn with_stack_bytes(mut self, bytes: usize) -> World {
-        self.stack_bytes = bytes;
-        self
-    }
-
-    /// Run the deadlock watchdog with the given scan interval. In debug
-    /// builds (which is what `cargo test` exercises) the watchdog is on by
-    /// default with a 2 s interval; release builds opt in with this
-    /// method. A confirmed deadlock aborts the run with a report naming
-    /// every blocked rank, its operation, communicator context, and call
-    /// site — instead of hanging.
-    #[must_use]
-    pub fn with_watchdog(mut self, interval: Duration) -> World {
-        self.verify.watchdog = Some(interval);
-        self
-    }
-
-    /// Disable the deadlock watchdog (debug builds enable it by default).
-    /// A program that deadlocks in such a world blocks forever, exactly
-    /// as under MPI.
-    #[must_use]
-    pub fn without_watchdog(mut self) -> World {
-        self.verify.watchdog = None;
-        self
-    }
-
     /// Additionally fail the run if any message was sent but never
     /// received (undrained mailboxes or receive stashes at exit), and
     /// verify that the meters conserve traffic globally (Σ sent = Σ
@@ -286,7 +208,7 @@ impl World {
     /// traffic in flight.
     #[must_use]
     pub fn with_strict_drain(mut self, strict: bool) -> World {
-        self.verify.strict_drain = strict;
+        self.strict_drain = strict;
         self
     }
 
@@ -295,28 +217,29 @@ impl World {
         self.size
     }
 
-    /// The canonical replay recipe for runs of this world configuration.
+    /// The canonical replay recipe for runs of this world configuration
+    /// (the empty prefix for a world given no schedule).
     pub fn repro(&self) -> Repro {
-        self.schedule.as_ref().map_or(Repro::Unseeded, Schedule::repro)
+        self.schedule.as_ref().map_or(Repro::Prefix(Vec::new()), Schedule::repro)
     }
 
-    /// Run `program` on every rank simultaneously and collect the results.
+    /// Run `program` on every rank and collect the results.
     ///
-    /// Panics in any rank propagate (with the rank id) after all threads
-    /// are joined. If the verifier aborts the run (deadlock, collective
+    /// Every rank is a resumable continuation on a single-threaded
+    /// deterministic event loop, so a world of P ranks costs P suspended
+    /// futures, not P OS threads, and worlds of 10^5–10^6 ranks execute
+    /// for real. The loop polls exactly the rank that holds the
+    /// scheduler's baton; deadlock and prefix divergence are proven
+    /// synchronously at pick time.
+    ///
+    /// A panic in any rank propagates (naming the rank) once the loop
+    /// stops. If the verifier aborts the run (deadlock, collective
     /// mismatch), `run` panics with the verifier's report.
     pub fn run<T, F>(&self, program: F) -> WorldResult<T>
     where
-        T: Send,
-        F: Fn(&mut Rank) -> T + Send + Sync,
+        F: AsyncFn(&mut Rank) -> T,
     {
-        Self::unwrap_run(self.run_impl(program))
-    }
-
-    /// Panic with the canonical failure formatting (what [`World::run`]
-    /// and [`World::run_async`] do with a failed raw run).
-    fn unwrap_run<T>(result: Result<WorldResult<T>, RunFailureRaw>) -> WorldResult<T> {
-        match result {
+        match self.execute(&program) {
             Ok(out) => out,
             Err(raw) => {
                 let note = raw.repro.note();
@@ -331,89 +254,46 @@ impl World {
         }
     }
 
-    /// Convert a raw failure into the public [`RunFailure`] value (what
-    /// the `try_` runners return).
-    fn raw_failure(raw: RunFailureRaw) -> RunFailure {
-        let report = match raw.error {
-            RunError::Report(r) => r,
-            RunError::RankPanic { rank, payload } => {
-                format!("pmm-simnet: rank {rank} panicked: {}", panic_message(&*payload))
-            }
-        };
-        RunFailure {
-            report,
-            repro: raw.repro,
-            schedule_trace: raw.schedule_trace,
-            choice_points: raw.choice_points,
-        }
-    }
-
-    /// Run an **async** rank program on the selected [`Engine`].
-    ///
-    /// On [`Engine::EventLoop`] (the default) every rank is a resumable
-    /// continuation on a single-threaded deterministic event loop — this
-    /// is what executes worlds of 10^5–10^6 ranks for real. The run is
-    /// always deterministic: without an explicit schedule it uses the
-    /// canonical [`Schedule::Prefix`]`(vec![])` (smallest runnable rank
-    /// at every pick). On [`Engine::Threads`] the same program runs on
-    /// the thread backend, where each async primitive completes in a
-    /// single poll — schedules, traces, meters, and clocks are
-    /// byte-identical across the two engines for the same [`Schedule`].
-    ///
-    /// `program` is a boxing closure:
-    /// `world.run_async(|rank| Box::pin(async move { ... }))`.
-    pub fn run_async<T, F>(&self, program: F) -> WorldResult<T>
-    where
-        T: Send,
-        F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
-    {
-        match self.resolved_engine() {
-            Engine::EventLoop => Self::unwrap_run(self.run_event_impl(&program)),
-            Engine::Threads => Self::unwrap_run(self.run_impl(|rank| poll_now(program(rank)))),
-        }
-    }
-
-    /// Like [`World::run_async`], but capture every failure as a
-    /// [`RunFailure`] value instead of panicking (the async analogue of
-    /// [`World::try_run`]).
-    pub fn try_run_async<T, F>(&self, program: F) -> Result<WorldResult<T>, RunFailure>
-    where
-        T: Send,
-        F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
-    {
-        match self.resolved_engine() {
-            Engine::EventLoop => self.run_event_impl(&program).map_err(Self::raw_failure),
-            Engine::Threads => {
-                self.run_impl(|rank| poll_now(program(rank))).map_err(Self::raw_failure)
-            }
-        }
-    }
-
     /// Like [`World::run`], but capture every failure — rank panic,
     /// verifier abort, unhandled rank failure, strict-drain violation —
     /// as a [`RunFailure`] value instead of panicking. The failure
-    /// carries whatever the deterministic scheduler recorded before the
-    /// run died (trace, [`ChoicePoint`] stream, replay recipe), which is
-    /// what lets schedule-space exploration keep walking the choice tree
-    /// through failing branches.
+    /// carries whatever the scheduler recorded before the run died
+    /// (trace, [`ChoicePoint`] stream, replay recipe), which is what lets
+    /// schedule-space exploration keep walking the choice tree through
+    /// failing branches.
     pub fn try_run<T, F>(&self, program: F) -> Result<WorldResult<T>, RunFailure>
     where
-        T: Send,
-        F: Fn(&mut Rank) -> T + Send + Sync,
+        F: AsyncFn(&mut Rank) -> T,
     {
-        self.run_impl(program).map_err(Self::raw_failure)
+        self.execute(&program).map_err(|raw| {
+            let report = match raw.error {
+                RunError::Report(r) => r,
+                RunError::RankPanic { rank, payload } => {
+                    format!("pmm-simnet: rank {rank} panicked: {}", panic_message(&*payload))
+                }
+            };
+            RunFailure {
+                report,
+                repro: raw.repro,
+                schedule_trace: raw.schedule_trace,
+                choice_points: raw.choice_points,
+            }
+        })
     }
 
-    /// Build the fabric shared by both engines: deterministic schedule
-    /// (if any) and fault plan. No explicit fault seed: derive one from
-    /// the schedule seed's SplitMix64 stream (0 for unseeded and
-    /// prefix-replay worlds), so a single PMM_SEED pins both the
+    /// Build the fabric: schedule, recording and wake-up policy, and
+    /// fault plan. No explicit fault seed: derive one from the schedule
+    /// seed's SplitMix64 stream (0 for prefix-replay worlds and worlds
+    /// without a schedule), so a single PMM_SEED pins both the
     /// interleaving and the fault pattern.
-    fn make_fabric(&self, schedule: Option<Schedule>) -> Fabric {
-        let mut fabric = Fabric::new(self.size);
-        if let Some(schedule) = schedule {
-            fabric.enable_schedule(schedule, self.record_schedule, self.targeted_wakeup);
-        }
+    fn make_fabric(&self) -> Fabric {
+        let scheduled = self.schedule.is_some();
+        let mut fabric = Fabric::new(
+            self.size,
+            self.schedule.clone().unwrap_or(Schedule::Prefix(Vec::new())),
+            self.record_schedule.unwrap_or(scheduled),
+            self.targeted_wakeup.unwrap_or(!scheduled),
+        );
         if let Some(plan) = &self.faults {
             let fault_seed = plan.seed.unwrap_or_else(|| {
                 let mut s = match &self.schedule {
@@ -427,174 +307,17 @@ impl World {
         fabric
     }
 
-    fn run_impl<T, F>(&self, program: F) -> Result<WorldResult<T>, RunFailureRaw>
-    where
-        T: Send,
-        F: Fn(&mut Rank) -> T + Send + Sync,
-    {
-        silence_abort_teardown_panics();
-        let fabric = Arc::new(self.make_fabric(self.schedule.clone()));
-        let members: Arc<Vec<usize>> = Arc::new((0..self.size).collect());
-        let mut slots: Vec<Option<(T, RankReport)>> = Vec::with_capacity(self.size);
-        for _ in 0..self.size {
-            slots.push(None);
-        }
-        let strict_drain = self.verify.strict_drain;
-        let vclock_audit = self.vclock_audit_on();
-
-        let scope_result: Result<(), RunError> = std::thread::scope(|scope| {
-            // Stop signal for the watchdog: flag + condvar so shutdown is
-            // immediate rather than waiting out a scan interval.
-            let watchdog_stop = Arc::new((Mutex::new(false), Condvar::new()));
-            let watchdog = self.verify.watchdog.map(|interval| {
-                let fabric = fabric.clone();
-                let stop = watchdog_stop.clone();
-                std::thread::Builder::new()
-                    .name("pmm-watchdog".to_string())
-                    .spawn_scoped(scope, move || {
-                        let (lock, cv) = &*stop;
-                        let mut candidate = None;
-                        let mut stopped = lock_unpoisoned(lock);
-                        while !*stopped {
-                            let (guard, timeout) = cv
-                                .wait_timeout(stopped, interval)
-                                .unwrap_or_else(PoisonError::into_inner);
-                            stopped = guard;
-                            if *stopped || !timeout.timed_out() {
-                                continue;
-                            }
-                            drop(stopped);
-                            if let Some(report) = fabric.watchdog_scan(&mut candidate) {
-                                fabric.abort(report);
-                            }
-                            stopped = lock_unpoisoned(lock);
-                        }
-                    })
-                    .expect("failed to spawn watchdog thread")
-            });
-
-            let mut handles = Vec::with_capacity(self.size);
-            for (r, slot) in slots.iter_mut().enumerate() {
-                let fabric = fabric.clone();
-                let members = members.clone();
-                let program = &program;
-                let params = self.params;
-                let mem_limit = self.mem_limit;
-                let trace = self.trace;
-                let builder = std::thread::Builder::new()
-                    .name(format!("pmm-rank-{r}"))
-                    .stack_size(self.stack_bytes);
-                let handle = builder
-                    .spawn_scoped(scope, move || {
-                        let _done = DoneGuard { verify: &fabric.verify, rank: r };
-                        let _sched = SchedGuard { fabric: &fabric, rank: r };
-                        fabric.sched_attach(r);
-                        let mut rank = Rank::new(
-                            r,
-                            members,
-                            fabric.clone(),
-                            params,
-                            mem_limit,
-                            trace,
-                            vclock_audit,
-                        );
-                        let value = program(&mut rank);
-                        if strict_drain {
-                            if let Some(desc) = rank.undrained_stash() {
-                                // A verifier abort, not a rank panic: the
-                                // violation surfaces as a report and the
-                                // AbortPanic teardown stays quiet.
-                                fabric.abort(format!(
-                                    "pmm-verify: rank {r} finished with undrained receive \
-                                     stash: {desc}"
-                                ));
-                                fabric.verify.abort_panic(r);
-                            }
-                        }
-                        let report = RankReport {
-                            meter: rank.meter(),
-                            time: rank.time(),
-                            peak_mem_words: rank.mem().peak(),
-                            trace: rank.take_trace(),
-                            final_vclock: rank.final_vclock(),
-                        };
-                        *slot = Some((value, report));
-                    })
-                    .expect("failed to spawn rank thread");
-                handles.push(handle);
-            }
-
-            let mut first_panic = None;
-            let mut abort_note: Option<String> = None;
-            let mut fault_note: Option<String> = None;
-            for (r, h) in handles.into_iter().enumerate() {
-                if let Err(payload) = h.join() {
-                    // Ranks torn down by a verifier abort carry an
-                    // AbortPanic; the report is raised once, below. A
-                    // FaultPanic is an injected kill the program chose not
-                    // to catch — reported once, after genuine panics. Any
-                    // other panic is the program's own and wins.
-                    if let Some(AbortPanic(note)) = payload.downcast_ref::<AbortPanic>() {
-                        abort_note.get_or_insert_with(|| note.clone());
-                    } else if let Some(FaultPanic(failed)) = payload.downcast_ref::<FaultPanic>() {
-                        fault_note.get_or_insert_with(|| failed.to_string());
-                    } else {
-                        first_panic.get_or_insert((r, payload));
-                    }
-                }
-            }
-
-            // All ranks are done; retire the watchdog before deciding the
-            // run's fate so it cannot fire on a finished world.
-            if let Some(h) = watchdog {
-                *lock_unpoisoned(&watchdog_stop.0) = true;
-                watchdog_stop.1.notify_all();
-                h.join().expect("watchdog thread panicked");
-            }
-
-            if let Some((r, payload)) = first_panic {
-                return Err(RunError::RankPanic { rank: r, payload });
-            }
-            if fabric.verify.is_aborted() {
-                let report =
-                    fabric.verify.report_text().or(abort_note).unwrap_or_else(|| {
-                        "pmm-verify: world aborted with no stored report".into()
-                    });
-                return Err(RunError::Report(report));
-            }
-            if let Some(detail) = fault_note {
-                return Err(RunError::Report(format!(
-                    "pmm-fault: rank failure was not handled by the program — {detail}\n\
-                     (wrap the failable region in Rank::catch_failures to recover)"
-                )));
-            }
-            Ok(())
-        });
-
-        self.collect(&fabric, slots, scope_result)
-    }
-
-    /// Run an async program on the single-threaded deterministic event
-    /// loop. Every rank is a pinned continuation in a slab
+    /// The event loop. Every rank is a pinned continuation in a slab
     /// ([`RankCell`]s); the loop polls exactly the rank the scheduler's
-    /// baton names, so a blocked rank costs one suspended future, not a
-    /// parked OS thread. Deadlock and divergence are proven synchronously
-    /// at pick time (there is no watchdog thread — and no need for one).
-    fn run_event_impl<T, F>(&self, program: &F) -> Result<WorldResult<T>, RunFailureRaw>
+    /// baton names, so a blocked rank costs one suspended future.
+    fn execute<T, F>(&self, program: &F) -> Result<WorldResult<T>, RunFailureRaw>
     where
-        T: Send,
-        F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync,
+        F: AsyncFn(&mut Rank) -> T,
     {
         silence_abort_teardown_panics();
-        // The event loop *is* the deterministic scheduler; without an
-        // explicit schedule, run under the canonical one (empty prefix:
-        // smallest runnable rank at every pick).
-        let schedule = self.schedule.clone().unwrap_or(Schedule::Prefix(Vec::new()));
-        let mut fabric = self.make_fabric(Some(schedule));
-        fabric.enable_event_loop();
-        let fabric = Arc::new(fabric);
-        let members: Arc<Vec<usize>> = Arc::new((0..self.size).collect());
-        let strict_drain = self.verify.strict_drain;
+        let fabric = Rc::new(self.make_fabric());
+        let members: Rc<Vec<usize>> = Rc::new((0..self.size).collect());
+        let strict_drain = self.strict_drain;
         let vclock_audit = self.vclock_audit_on();
 
         let mut slots: Vec<Option<(T, RankReport)>> = Vec::with_capacity(self.size);
@@ -612,6 +335,9 @@ impl World {
                 let value = program(&mut rank).await;
                 if strict_drain {
                     if let Some(desc) = rank.undrained_stash() {
+                        // A verifier abort, not a rank panic: the
+                        // violation surfaces as a report and the
+                        // AbortPanic teardown stays quiet.
                         fabric.abort(format!(
                             "pmm-verify: rank {r} finished with undrained receive \
                              stash: {desc}"
@@ -630,46 +356,33 @@ impl World {
             })));
         }
 
-        // All ranks enter the scheduler at once; the first pick is made
-        // here (identical to the last thread attaching in thread mode).
-        fabric.sched_attach_all();
+        fabric.sched_start();
 
         let mut remaining = self.size;
         let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
         let mut abort_note: Option<String> = None;
         let mut fault_note: Option<String> = None;
-        let waker = Waker::noop();
-        let mut cx = Context::from_waker(waker);
+        let mut cx = Context::from_waker(Waker::noop());
         while remaining > 0 && !fabric.verify.is_aborted() {
             let Some(r) = fabric.sched_current() else {
-                if fabric.verify.is_aborted() {
-                    break;
-                }
                 panic!(
                     "pmm-engine: event loop stalled with {remaining} unfinished rank(s) and \
                      no baton holder — scheduler bug"
                 );
             };
             let cell = cells[r].as_mut().expect("baton held by a finished rank");
-            match std::panic::catch_unwind(AssertUnwindSafe(|| cell.as_mut().poll(&mut cx))) {
-                Ok(Poll::Pending) => {
-                    // The continuation yielded the baton; the pick it made
-                    // on the way out tells the next iteration whom to poll.
-                }
-                Ok(Poll::Ready((value, report))) => {
-                    cells[r] = None;
-                    slots[r] = Some((value, report));
-                    remaining -= 1;
-                    // Same order as the thread backend's scope guards:
-                    // retire from the scheduler first, then mark done in
-                    // the verifier registry.
-                    fabric.sched_finish(r);
-                    fabric.verify.mark_done(r);
-                }
+            let polled = std::panic::catch_unwind(AssertUnwindSafe(|| cell.as_mut().poll(&mut cx)));
+            match polled {
+                // The continuation yielded the baton; the pick it made on
+                // the way out tells the next iteration whom to poll.
+                Ok(Poll::Pending) => continue,
+                Ok(Poll::Ready(done)) => slots[r] = Some(done),
+                // Ranks torn down by a verifier abort carry an
+                // AbortPanic; the report is raised once, below. A
+                // FaultPanic is an injected kill the program chose not to
+                // catch — reported once, after genuine panics. Any other
+                // panic is the program's own and wins.
                 Err(payload) => {
-                    cells[r] = None;
-                    remaining -= 1;
-                    // Classification mirrors the thread-join loop below.
                     if let Some(AbortPanic(note)) = payload.downcast_ref::<AbortPanic>() {
                         abort_note.get_or_insert_with(|| note.clone());
                     } else if let Some(FaultPanic(failed)) = payload.downcast_ref::<FaultPanic>() {
@@ -677,17 +390,17 @@ impl World {
                     } else {
                         first_panic.get_or_insert((r, payload));
                     }
-                    fabric.sched_finish(r);
-                    fabric.verify.mark_done(r);
                 }
             }
+            cells[r] = None;
+            remaining -= 1;
+            fabric.sched_finish(r);
+            fabric.verify.clear_wait(r);
         }
 
         // Continuations of ranks that never ran to completion (the world
-        // aborted) are dropped here on a non-panicking thread; flag the
-        // teardown so leak checks in Drop impls (RecvRequest) stay quiet,
-        // exactly as `std::thread::panicking()` keeps them quiet on the
-        // thread backend.
+        // aborted) are dropped here, outside any unwind; flag the teardown
+        // so leak checks in Drop impls (RecvRequest) stay quiet.
         if cells.iter().any(Option::is_some) {
             crate::rank::begin_abort_teardown();
             cells.clear();
@@ -695,48 +408,30 @@ impl World {
         }
         drop(cells);
 
-        let scope_result: Result<(), RunError> = if let Some((r, payload)) = first_panic {
-            Err(RunError::RankPanic { rank: r, payload })
-        } else if fabric.verify.is_aborted() {
+        let fail = |error: RunError| RunFailureRaw {
+            error,
+            repro: fabric.sched_repro(),
+            schedule_trace: fabric.take_sched_trace(),
+            choice_points: fabric.take_choice_points(),
+        };
+        if let Some((rank, payload)) = first_panic {
+            return Err(fail(RunError::RankPanic { rank, payload }));
+        }
+        if fabric.verify.is_aborted() {
             let report = fabric
                 .verify
                 .report_text()
                 .or(abort_note)
                 .unwrap_or_else(|| "pmm-verify: world aborted with no stored report".into());
-            Err(RunError::Report(report))
-        } else if let Some(detail) = fault_note {
-            Err(RunError::Report(format!(
+            return Err(fail(RunError::Report(report)));
+        }
+        if let Some(detail) = fault_note {
+            return Err(fail(RunError::Report(format!(
                 "pmm-fault: rank failure was not handled by the program — {detail}\n\
-                 (wrap the failable region in Rank::catch_failures to recover)"
-            )))
-        } else {
-            Ok(())
-        };
-        self.collect(&fabric, slots, scope_result)
-    }
-
-    /// Shared epilogue of both engines: harvest the scheduler's artifacts
-    /// and the canonical replay recipe exactly once on every failure path
-    /// (prefix replays report the choices actually made, seeded runs
-    /// their seed), run the strict-drain audits, and assemble the
-    /// [`WorldResult`].
-    fn collect<T>(
-        &self,
-        fabric: &Fabric,
-        slots: Vec<Option<(T, RankReport)>>,
-        scope_result: Result<(), RunError>,
-    ) -> Result<WorldResult<T>, RunFailureRaw> {
-        let fail = |error: RunError| RunFailureRaw {
-            error,
-            repro: fabric.sched_repro().unwrap_or(Repro::Unseeded),
-            schedule_trace: fabric.take_sched_trace(),
-            choice_points: fabric.take_choice_points(),
-        };
-        if let Err(error) = scope_result {
-            return Err(fail(error));
+                 (wrap the failable region in catch_failures_async! to recover)"
+            ))));
         }
 
-        let strict_drain = self.verify.strict_drain;
         if strict_drain {
             let residual = fabric.residual_messages();
             if !residual.is_empty() {
@@ -782,7 +477,7 @@ enum RunError {
     RankPanic { rank: usize, payload: Box<dyn std::any::Any + Send> },
 }
 
-/// [`World::run_impl`]'s error: the failure plus the scheduler artifacts
+/// [`World::run`]'s raw error: the failure plus the scheduler artifacts
 /// harvested from the fabric.
 struct RunFailureRaw {
     error: RunError,
@@ -933,17 +628,22 @@ impl<T> WorldResult<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::CollectiveOp;
+
+    fn bw() -> MachineParams {
+        MachineParams::BANDWIDTH_ONLY
+    }
 
     #[test]
     fn values_are_indexed_by_world_rank() {
-        let out = World::new(5, MachineParams::BANDWIDTH_ONLY).run(|r| r.world_rank());
+        let out = World::new(5, bw()).run(async |r| r.world_rank());
         assert_eq!(out.values, vec![0, 1, 2, 3, 4]);
         assert_eq!(out.reports.len(), 5);
     }
 
     #[test]
     fn aggregates_on_idle_world_are_zero() {
-        let out = World::new(3, MachineParams::BANDWIDTH_ONLY).run(|_| ());
+        let out = World::new(3, bw()).run(async |_| ());
         assert_eq!(out.critical_path_time(), 0.0);
         assert_eq!(out.total_words_sent(), 0.0);
         assert_eq!(out.max_duplex_words(), 0);
@@ -953,7 +653,7 @@ mod tests {
     #[test]
     fn critical_path_is_max_over_ranks() {
         let out = World::new(4, MachineParams::new(0.0, 0.0, 1.0))
-            .run(|r| r.compute((r.world_rank() * 10) as f64));
+            .run(async |r| r.compute((r.world_rank() * 10) as f64));
         assert_eq!(out.critical_path_time(), 30.0);
         assert_eq!(out.max_flops(), 30.0);
     }
@@ -961,7 +661,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn rank_panic_propagates() {
-        World::new(2, MachineParams::BANDWIDTH_ONLY).run(|r| {
+        World::new(2, bw()).run(async |r| {
             if r.world_rank() == 1 {
                 panic!("boom");
             }
@@ -970,16 +670,14 @@ mod tests {
 
     #[test]
     fn many_ranks_spawn_and_join() {
-        let out = World::new(128, MachineParams::BANDWIDTH_ONLY)
-            .with_stack_bytes(1 << 20)
-            .run(|r| r.world_rank());
+        let out = World::new(128, bw()).run(async |r| r.world_rank());
         assert_eq!(out.values.len(), 128);
     }
 
     #[test]
     fn hard_sync_allows_phase_delimiting() {
-        let out = World::new(4, MachineParams::BANDWIDTH_ONLY).run(|r| {
-            r.hard_sync();
+        let out = World::new(4, bw()).run(async |r| {
+            r.hard_sync_a().await;
             r.time()
         });
         assert_eq!(out.values, vec![0.0; 4], "hard_sync is not metered");
@@ -987,19 +685,23 @@ mod tests {
 
     /// An all-to-one program with enough concurrency for schedules to
     /// actually differ between seeds.
-    fn gather_program(rank: &mut Rank) -> f64 {
+    async fn gather_program(rank: &mut Rank) -> f64 {
         let wc = rank.world_comm();
         if rank.world_rank() == 0 {
-            (1..wc.size()).map(|from| rank.recv(&wc, from).payload[0]).sum()
+            let mut sum = 0.0;
+            for from in 1..wc.size() {
+                sum += rank.recv_a(&wc, from).await.payload[0];
+            }
+            sum
         } else {
-            rank.send(&wc, 0, &[rank.world_rank() as f64]);
+            rank.send_a(&wc, 0, &[rank.world_rank() as f64]).await;
             0.0
         }
     }
 
     #[test]
     fn same_seed_gives_byte_identical_traces() {
-        let run = || World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(42).run(gather_program);
+        let run = || World::new(6, bw()).with_seed(42).run(gather_program);
         let (a, b) = (run(), run());
         let ta = a.schedule_trace.expect("seeded run records a trace");
         let tb = b.schedule_trace.expect("seeded run records a trace");
@@ -1010,7 +712,7 @@ mod tests {
 
     #[test]
     fn different_seeds_change_the_schedule_but_not_the_result() {
-        let run = |s| World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(s).run(gather_program);
+        let run = |s| World::new(6, bw()).with_seed(s).run(gather_program);
         let outs: Vec<_> = (0u64..8).map(run).collect();
         assert!(
             outs.windows(2).any(|w| {
@@ -1025,14 +727,19 @@ mod tests {
     }
 
     #[test]
-    fn unseeded_runs_record_no_trace() {
-        let out = World::new(2, MachineParams::BANDWIDTH_ONLY).run(gather_program);
+    fn worlds_without_a_schedule_record_nothing() {
+        let out = World::new(6, bw()).run(gather_program);
+        assert_eq!(out.values[0], 15.0);
         assert!(out.schedule_trace.is_none());
+        assert!(out.choice_points.is_none());
+        // The explicit setter still overrides the default.
+        let recorded = World::new(6, bw()).with_schedule_recording(true).run(gather_program);
+        assert!(recorded.schedule_trace.is_some());
     }
 
     #[test]
     fn choice_points_record_ready_sets_and_footprints() {
-        let out = World::new(4, MachineParams::BANDWIDTH_ONLY).with_seed(11).run(gather_program);
+        let out = World::new(4, bw()).with_seed(11).run(gather_program);
         let choices = out.choice_points.expect("deterministic run records choice points");
         assert!(!choices.is_empty());
         for cp in &choices {
@@ -1043,18 +750,15 @@ mod tests {
             choices.iter().any(|cp| !cp.touched.is_empty()),
             "a gather must touch mailboxes somewhere"
         );
-        let unseeded = World::new(2, MachineParams::BANDWIDTH_ONLY).run(gather_program);
-        assert!(unseeded.choice_points.is_none());
     }
 
     #[test]
     fn full_prefix_replay_reproduces_the_seeded_run() {
-        let seeded = World::new(5, MachineParams::BANDWIDTH_ONLY).with_seed(3).run(gather_program);
+        let seeded = World::new(5, bw()).with_seed(3).run(gather_program);
         let prefix: Vec<usize> =
             seeded.choice_points.as_ref().expect("choices").iter().map(|c| c.chosen).collect();
-        let replay = World::new(5, MachineParams::BANDWIDTH_ONLY)
-            .with_schedule(Schedule::Prefix(prefix.clone()))
-            .run(gather_program);
+        let replay =
+            World::new(5, bw()).with_schedule(Schedule::Prefix(prefix.clone())).run(gather_program);
         assert_eq!(replay.values, seeded.values);
         assert_eq!(
             seeded.schedule_trace.expect("trace").events,
@@ -1068,11 +772,8 @@ mod tests {
 
     #[test]
     fn empty_prefix_is_the_canonical_schedule_and_is_deterministic() {
-        let run = || {
-            World::new(4, MachineParams::BANDWIDTH_ONLY)
-                .with_schedule(Schedule::Prefix(Vec::new()))
-                .run(gather_program)
-        };
+        let run =
+            || World::new(4, bw()).with_schedule(Schedule::Prefix(Vec::new())).run(gather_program);
         let (a, b) = (run(), run());
         assert_eq!(a.values, b.values);
         assert_eq!(
@@ -1084,9 +785,9 @@ mod tests {
     #[test]
     fn diverging_prefix_aborts_with_a_prefix_repro() {
         let err = std::panic::catch_unwind(|| {
-            World::new(2, MachineParams::BANDWIDTH_ONLY)
+            World::new(2, bw())
                 .with_schedule(Schedule::Prefix(vec![1, 1, 1, 1, 1, 1, 1, 1]))
-                .run(|_| ())
+                .run(async |_| ())
         })
         .expect_err("a prefix that demands a finished rank must abort");
         let msg = err.downcast_ref::<String>().expect("panic message is a String");
@@ -1094,17 +795,19 @@ mod tests {
         assert!(msg.contains("PMM_SCHEDULE=prefix:1"), "{msg}");
     }
 
+    /// Rank 0 receives from rank 1, which never sends.
+    async fn orphan_recv(r: &mut Rank) {
+        let wc = r.world_comm();
+        if r.world_rank() == 0 {
+            r.recv_a(&wc, 1).await;
+        }
+    }
+
     #[test]
     fn try_run_captures_deadlock_as_a_value_with_choices() {
-        let failure = World::new(2, MachineParams::BANDWIDTH_ONLY)
-            .without_watchdog()
+        let failure = World::new(2, bw())
             .with_schedule(Schedule::Prefix(Vec::new()))
-            .try_run(|r| {
-                let wc = r.world_comm();
-                if r.world_rank() == 0 {
-                    r.recv(&wc, 1);
-                }
-            })
+            .try_run(orphan_recv)
             .expect_err("deadlocked run must fail");
         assert!(failure.report.contains("deadlock detected"), "{}", failure.report);
         assert!(matches!(failure.repro, crate::trace::Repro::Prefix(_)), "{:?}", failure.repro);
@@ -1113,120 +816,131 @@ mod tests {
         assert!(!choices.is_empty());
     }
 
-    /// The async twin of `gather_program`, for cross-engine checks.
-    fn gather_program_a(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
-        Box::pin(async move {
-            let wc = rank.world_comm();
-            if rank.world_rank() == 0 {
-                let mut sum = 0.0;
-                for from in 1..wc.size() {
-                    sum += rank.recv_a(&wc, from).await.payload[0];
-                }
-                sum
-            } else {
-                rank.send_a(&wc, 0, &[rank.world_rank() as f64]).await;
-                0.0
-            }
-        })
+    #[test]
+    fn receive_from_a_finished_rank_is_a_deadlock_naming_rank_and_call_site() {
+        // No schedule: nothing is recorded, yet the report names the
+        // blocked rank, its peer, and the call site, and its repro (the
+        // empty prefix) replays the failure.
+        let failure = World::new(2, bw()).try_run(orphan_recv).expect_err("must deadlock");
+        let report = &failure.report;
+        assert!(report.contains("deadlock detected"), "{report}");
+        assert!(report.contains("rank 0: blocked in recv(from world rank 1)"), "{report}");
+        assert!(report.contains("waiting on ranks [1]"), "{report}");
+        assert!(report.contains(file!()), "the user call site is named: {report}");
+        assert_eq!(failure.repro, Repro::Prefix(Vec::new()));
+        let replay = World::new(2, bw())
+            .with_schedule(Schedule::Prefix(Vec::new()))
+            .try_run(orphan_recv)
+            .expect_err("the repro replays the deadlock");
+        assert!(replay.report.contains("deadlock detected"), "{}", replay.report);
     }
 
     #[test]
-    fn event_loop_runs_async_programs() {
-        let out = World::new(6, MachineParams::BANDWIDTH_ONLY)
-            .with_engine(Engine::EventLoop)
-            .run_async(gather_program_a);
-        assert_eq!(out.values[0], 15.0);
-        assert!(out.schedule_trace.is_some(), "event runs are always deterministic");
-    }
-
-    #[test]
-    fn engines_agree_on_seeded_gather_byte_for_byte() {
-        for seed in 0..4 {
-            let ev = World::new(6, MachineParams::BANDWIDTH_ONLY)
-                .with_seed(seed)
-                .with_engine(Engine::EventLoop)
-                .run_async(gather_program_a);
-            let th = World::new(6, MachineParams::BANDWIDTH_ONLY)
-                .with_seed(seed)
-                .with_engine(Engine::Threads)
-                .run_async(gather_program_a);
-            assert_eq!(ev.values, th.values, "seed {seed}");
-            let (te, tt) = (ev.schedule_trace.unwrap(), th.schedule_trace.unwrap());
-            assert_eq!(te.render(), tt.render(), "seed {seed}");
-            for (a, b) in ev.reports.iter().zip(&th.reports) {
-                assert_eq!(a.meter, b.meter, "seed {seed}");
-                assert_eq!(a.time, b.time, "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn event_loop_splits_barriers_and_exchanges() {
-        let run = |engine| {
-            World::new(8, MachineParams::BANDWIDTH_ONLY).with_seed(5).with_engine(engine).run_async(
-                |rank: &mut Rank| {
-                    Box::pin(async move {
-                        let wc = rank.world_comm();
-                        let r = rank.world_rank();
-                        let half = rank.split_a(&wc, (r / 4) as i64, r as i64).await.unwrap();
-                        rank.hard_sync_a().await;
-                        let m = rank
-                            .sendrecv_a(&half, half.size() - 1 - half.index(), &[r as f64])
-                            .await;
-                        m.payload[0] as usize
-                    }) as LocalBoxFuture<'_, usize>
-                },
-            )
-        };
-        let ev = run(Engine::EventLoop);
-        let th = run(Engine::Threads);
-        assert_eq!(ev.values, vec![3, 2, 1, 0, 7, 6, 5, 4]);
-        assert_eq!(ev.values, th.values);
-        assert_eq!(ev.schedule_trace.unwrap().render(), th.schedule_trace.unwrap().render());
-    }
-
-    #[test]
-    fn event_loop_detects_deadlock_synchronously() {
-        let failure = World::new(2, MachineParams::BANDWIDTH_ONLY)
-            .with_engine(Engine::EventLoop)
-            .try_run_async(|r: &mut Rank| {
-                Box::pin(async move {
-                    let wc = r.world_comm();
-                    if r.world_rank() == 0 {
-                        r.recv_a(&wc, 1).await;
-                    }
-                }) as LocalBoxFuture<'_, ()>
+    fn mutual_receive_reports_its_cycle() {
+        let failure = World::new(2, bw())
+            .try_run(async |r| {
+                let wc = r.world_comm();
+                r.recv_a(&wc, 1 - r.world_rank()).await;
             })
-            .expect_err("deadlocked event run must fail");
-        assert!(failure.report.contains("deadlock detected"), "{}", failure.report);
+            .expect_err("mutual receive must deadlock");
+        let report = &failure.report;
+        assert!(report.contains("deadlock detected"), "{report}");
+        assert!(report.contains("wait-for cycle: rank 0 -> rank 1 -> rank 0"), "{report}");
     }
 
     #[test]
-    fn event_loop_prefix_replay_matches_seeded_run() {
-        let seeded = World::new(5, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(3)
-            .with_engine(Engine::EventLoop)
-            .run_async(gather_program_a);
-        let prefix: Vec<usize> =
-            seeded.choice_points.as_ref().expect("choices").iter().map(|c| c.chosen).collect();
-        let replay = World::new(5, MachineParams::BANDWIDTH_ONLY)
-            .with_schedule(Schedule::Prefix(prefix))
-            .with_engine(Engine::EventLoop)
-            .run_async(gather_program_a);
-        assert_eq!(replay.values, seeded.values);
-        assert_eq!(
-            seeded.schedule_trace.expect("trace").events,
-            replay.schedule_trace.expect("trace").events
-        );
+    fn abort_tears_down_a_blocked_receive() {
+        // Rank 0 blocks receiving from rank 1; ranks 1 and 2 then enter
+        // mismatched collectives. The verifier aborts the world, which
+        // must tear rank 0 down too, and the run reports the mismatch.
+        let failure = World::new(3, bw())
+            .try_run(async |r| {
+                let wc = r.world_comm();
+                match r.world_rank() {
+                    0 => drop(r.recv_a(&wc, 1).await),
+                    1 => r.collective_begin_a(&wc, CollectiveOp::AllGather, 1).await,
+                    _ => r.collective_begin_a(&wc, CollectiveOp::AllReduce, 1).await,
+                }
+            })
+            .expect_err("a collective mismatch aborts the world");
+        assert!(failure.report.contains("collective mismatch"), "{}", failure.report);
+        assert!(!failure.report.contains("deadlock"), "{}", failure.report);
+    }
+
+    #[test]
+    fn dead_rank_completes_a_pending_split_with_survivors_only() {
+        // Ranks 0 and 1 deposit and wait; rank 2 is killed on entering
+        // the split, which must complete the rendezvous without it.
+        let out =
+            World::new(3, bw()).with_faults(FaultPlan::none().with_kill(2, 1)).run(async |r| {
+                let wc = r.world_comm();
+                let me = r.world_rank();
+                let group = crate::catch_failures_async!(r, async {
+                    r.split_a(&wc, 0, me as i64).await.expect("color 0").members().to_vec()
+                });
+                group.ok()
+            });
+        assert_eq!(out.values, vec![Some(vec![0, 1]), Some(vec![0, 1]), None]);
+    }
+
+    #[test]
+    fn fault_kick_interrupts_a_blocked_receive() {
+        let out =
+            World::new(2, bw()).with_faults(FaultPlan::none().with_kill(1, 1)).run(async |r| {
+                let wc = r.world_comm();
+                let me = r.world_rank();
+                let res = crate::catch_failures_async!(r, async {
+                    if me == 0 {
+                        r.recv_a(&wc, 1).await; // blocks, then is kicked
+                    } else {
+                        r.send_a(&wc, 0, &[1.0]).await; // killed here
+                    }
+                });
+                res.map_err(|e| e.rank)
+            });
+        assert_eq!(out.values, vec![Err(1), Err(1)]);
+    }
+
+    #[test]
+    fn kill_is_reported_as_a_rank_failure_not_a_wait_for_cycle() {
+        // Rank 0 waits on rank 1 outside any catching scope; rank 1 dies.
+        let failure = World::new(2, bw())
+            .with_seed(7)
+            .with_faults(FaultPlan::none().with_kill(1, 1))
+            .try_run(async |r| {
+                let wc = r.world_comm();
+                if r.world_rank() == 0 {
+                    r.recv_a(&wc, 1).await;
+                } else {
+                    r.send_a(&wc, 0, &[1.0]).await;
+                }
+            })
+            .expect_err("an uncaught kill fails the run");
+        let report = &failure.report;
+        assert!(report.contains("rank failure"), "{report}");
+        assert!(report.contains("kill=1@1"), "{report}");
+        assert!(report.contains("PMM_SEED=7"), "{report}");
+        assert!(!report.contains("deadlock detected"), "{report}");
+        assert!(!report.contains("wait-for cycle"), "{report}");
+    }
+
+    #[test]
+    fn splits_barriers_and_exchanges() {
+        let out = World::new(8, bw()).with_seed(5).run(async |rank| {
+            let wc = rank.world_comm();
+            let r = rank.world_rank();
+            let half = rank.split_a(&wc, (r / 4) as i64, r as i64).await.unwrap();
+            rank.hard_sync_a().await;
+            let m = rank.sendrecv_a(&half, half.size() - 1 - half.index(), &[r as f64]).await;
+            m.payload[0] as usize
+        });
+        assert_eq!(out.values, vec![3, 2, 1, 0, 7, 6, 5, 4]);
     }
 
     #[test]
     fn schedule_recording_off_drops_artifacts_but_not_results() {
-        let out = World::new(6, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(9)
-            .with_schedule_recording(false)
-            .with_engine(Engine::EventLoop)
-            .run_async(gather_program_a);
+        let out =
+            World::new(6, bw()).with_seed(9).with_schedule_recording(false).run(gather_program);
         assert_eq!(out.values[0], 15.0);
         assert!(out.schedule_trace.is_none());
         assert!(out.choice_points.is_none());
@@ -1234,46 +948,31 @@ mod tests {
 
     #[test]
     fn targeted_wakeup_changes_bookkeeping_not_results() {
-        let base = World::new(6, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(2)
-            .with_engine(Engine::EventLoop)
-            .run_async(gather_program_a);
-        let targeted = World::new(6, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(2)
-            .with_targeted_wakeup(true)
-            .with_engine(Engine::EventLoop)
-            .run_async(gather_program_a);
+        let base = World::new(6, bw()).with_seed(2).run(gather_program);
+        let targeted =
+            World::new(6, bw()).with_seed(2).with_targeted_wakeup(true).run(gather_program);
         assert_eq!(base.values, targeted.values);
         for (a, b) in base.reports.iter().zip(&targeted.reports) {
             assert_eq!(a.meter, b.meter);
             assert_eq!(a.time, b.time);
         }
+        // The explicit setter also overrides the default of a world
+        // without a schedule.
+        let broadcast = World::new(6, bw()).with_targeted_wakeup(false).run(gather_program);
+        assert_eq!(broadcast.values, base.values);
     }
 
     #[test]
     fn vclock_audit_off_empties_final_clocks() {
-        let out = World::new(4, MachineParams::BANDWIDTH_ONLY)
-            .with_vclock_audit(false)
-            .with_engine(Engine::EventLoop)
-            .run_async(gather_program_a);
+        let out = World::new(4, bw()).with_vclock_audit(false).run(gather_program);
         assert_eq!(out.values[0], 6.0);
         assert!(out.reports.iter().all(|r| r.final_vclock.is_empty()));
     }
 
     #[test]
-    fn det_mode_detects_deadlock_synchronously_and_names_the_seed() {
-        // Rank 0 receives from rank 1, which never sends: in deterministic
-        // mode the scheduler proves the deadlock at pick time — no
-        // watchdog interval has to elapse.
-        let err = std::panic::catch_unwind(|| {
-            World::new(2, MachineParams::BANDWIDTH_ONLY).without_watchdog().with_seed(7).run(|r| {
-                let wc = r.world_comm();
-                if r.world_rank() == 0 {
-                    r.recv(&wc, 1);
-                }
-            })
-        })
-        .expect_err("deadlocked deterministic run must abort");
+    fn seeded_deadlock_is_detected_at_pick_time_and_names_the_seed() {
+        let err = std::panic::catch_unwind(|| World::new(2, bw()).with_seed(7).run(orphan_recv))
+            .expect_err("deadlocked deterministic run must abort");
         let msg = err.downcast_ref::<String>().expect("panic message is a String");
         assert!(msg.contains("deadlock detected"), "{msg}");
         assert!(msg.contains("PMM_SEED=7"), "{msg}");

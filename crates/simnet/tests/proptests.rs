@@ -33,7 +33,7 @@ proptest! {
         // verifiable.
         let p = s.p;
         let rounds = s.rounds.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let me = rank.world_rank();
             let mut received: Vec<(usize, usize, usize)> = Vec::new(); // (round, from, words)
@@ -42,11 +42,11 @@ proptest! {
                 if target != me {
                     let payload: Vec<f64> =
                         std::iter::repeat_n((me * 1000 + ri) as f64, words).collect();
-                    rank.send(&comm, target, &payload);
+                    rank.send_a(&comm, target, &payload).await;
                 }
                 for (src, &(tgt, w)) in round.iter().enumerate() {
                     if src != me && tgt == me {
-                        let m = rank.recv(&comm, src);
+                        let m = rank.recv_a(&comm, src).await;
                         assert_eq!(m.payload.len(), w, "payload length");
                         if w > 0 {
                             assert_eq!(m.payload[0], (src * 1000 + ri) as f64, "payload tag");
@@ -84,17 +84,17 @@ proptest! {
             let rounds = s.rounds.clone();
             let p = s.p;
             World::new(p, MachineParams::TYPICAL_CLUSTER)
-                .run(move |rank| {
+                .run(async move |rank| {
                     let comm = rank.world_comm();
                     let me = rank.world_rank();
                     for round in &rounds {
                         let (target, words) = round[me];
                         if target != me {
-                            rank.send(&comm, target, &vec![0.0; words]);
+                            rank.send_a(&comm, target, &vec![0.0; words]).await;
                         }
                         for (src, &(tgt, _)) in round.iter().enumerate() {
                             if src != me && tgt == me {
-                                rank.recv(&comm, src);
+                                rank.recv_a(&comm, src).await;
                             }
                         }
                     }
@@ -114,10 +114,10 @@ proptest! {
     ) {
         let colors = colors[..p].to_vec();
         let colors2 = colors.clone();
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let me = rank.world_rank();
-            let sub = rank.split(&comm, colors2[me], me as i64).unwrap();
+            let sub = rank.split_a(&comm, colors2[me], me as i64).await.unwrap();
             (sub.size(), sub.index(), sub.members().to_vec())
         });
         for me in 0..p {
@@ -136,7 +136,7 @@ proptest! {
     ) {
         // Replay acquire/release ops; peak must equal the running max.
         let ops2 = ops.clone();
-        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(1, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let mut cur = 0u64;
             let mut peak = 0u64;
             let mut held = Vec::new();

@@ -29,10 +29,10 @@ fn main() {
             continue;
         }
         let cfg = Alg1Config::new(dims, Grid3::from_dims(grid));
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(768, 96, -2..3, 3);
             let b = random_int_matrix(96, 96, -2..3, 4);
-            alg1(rank, &cfg, &a, &b)
+            alg1_a(rank, &cfg, &a, &b).await
         });
         let measured = out.critical_path_time();
         println!(

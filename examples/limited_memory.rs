@@ -78,10 +78,10 @@ fn main() {
         let result = std::panic::catch_unwind(|| {
             World::new(p, MachineParams::BANDWIDTH_ONLY)
                 .with_memory_limit(Some(budget))
-                .run(move |rank| {
+                .run(async move |rank| {
                     let a = random_int_matrix(384, 96, -2..3, 1);
                     let b = random_int_matrix(96, 24, -2..3, 2);
-                    alg1(rank, &cfg, &a, &b);
+                    alg1_a(rank, &cfg, &a, &b).await;
                     rank.mem().peak()
                 })
                 .values

@@ -34,13 +34,13 @@ fn main() {
 
     // --- 3. run Algorithm 1 on a simulated 36-rank machine -------------------
     let cfg = Alg1Config::new(dims, choice.grid3());
-    let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+    let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
         // Every rank generates the same global inputs deterministically and
         // reads only its owned chunks; integer entries make the distributed
         // result exactly comparable.
         let a = random_int_matrix(768, 192, -4..5, 42);
         let b = random_int_matrix(192, 48, -4..5, 43);
-        alg1(rank, &cfg, &a, &b)
+        alg1_a(rank, &cfg, &a, &b).await
     });
 
     // --- 4. verify correctness against a serial reference --------------------

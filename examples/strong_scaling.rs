@@ -25,10 +25,10 @@ fn main() {
         let choice = best_divisible_grid(dims, p).expect("divisible grid exists");
         let cfg = Alg1Config::new(dims, choice.grid3());
         let nn = n as usize;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let a = random_int_matrix(nn, nn, -2..3, 7);
             let b = random_int_matrix(nn, nn, -2..3, 8);
-            alg1(rank, &cfg, &a, &b)
+            alg1_a(rank, &cfg, &a, &b).await
         });
         let measured = out.critical_path_time();
         let bound = corollary4(n, p as f64);

@@ -30,10 +30,10 @@
 //! // 3. Run Algorithm 1 on a simulated 36-rank machine and check that the
 //! //    measured communication equals the bound exactly.
 //! let cfg = Alg1Config::new(dims, grid.grid3());
-//! let out = World::new(36, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+//! let out = World::new(36, MachineParams::BANDWIDTH_ONLY).run(async |rank| {
 //!     let a = random_matrix(768, 192, 1);
 //!     let b = random_matrix(192, 48, 2);
-//!     alg1(rank, &cfg, &a, &b)
+//!     alg1_a(rank, &cfg, &a, &b).await
 //! });
 //! let measured = out.critical_path_time();
 //! assert!((measured - report.bound).abs() < 1e-6 * report.bound);
@@ -65,15 +65,14 @@ pub use pmm_simnet as simnet;
 /// run).
 pub mod prelude {
     pub use pmm_algs::{
-        alg1, alg1_a, alg1_streamed, alg1_streamed_a, assemble_c, assemble_from_blocks,
-        assemble_recovered, cannon, cannon_a, carma, carma_a, carma_assemble_c, carma_cost_words,
-        carma_shares, near_square_factors, plan_for, run_recoverable, run_recoverable_a, summa,
-        summa_a, twofived, twofived_a, Alg1Config, Alg1Output, Assembly, CShare, CannonConfig,
-        Recoverable, Recovered, SummaConfig, TwoFiveDConfig,
+        alg1_a, alg1_streamed_a, assemble_c, assemble_from_blocks, assemble_recovered, cannon_a,
+        carma_a, carma_assemble_c, carma_cost_words, carma_shares, near_square_factors, plan_for,
+        run_recoverable_a, summa_a, twofived_a, Alg1Config, Alg1Output, Assembly, CShare,
+        CannonConfig, Recoverable, Recovered, SummaConfig, TwoFiveDConfig,
     };
     pub use pmm_collectives::{
-        all_gather, all_gather_a, all_reduce, all_reduce_a, bcast, bcast_a, reduce_scatter,
-        reduce_scatter_a, AllGatherAlgo, AllReduceAlgo, BcastAlgo, ReduceScatterAlgo,
+        all_gather_a, all_reduce_a, bcast_a, reduce_scatter_a, AllGatherAlgo, AllReduceAlgo,
+        BcastAlgo, ReduceScatterAlgo,
     };
     // `Strategy` is aliased so the prelude can coexist with proptest's
     // `Strategy` trait in downstream glob imports.
@@ -92,14 +91,13 @@ pub mod prelude {
     };
     // `Strategy` is aliased here for the same reason as the advisor's.
     pub use pmm_explore::{
-        explore, explore_async, explore_checked, explore_checked_async, explore_outcomes,
-        explore_outcomes_async, ExploreConfig, ExploreReport, ScheduleFailure,
-        Strategy as ExploreStrategy,
+        explore, explore_checked, explore_checked_async, explore_outcomes, ExploreConfig,
+        ExploreReport, ScheduleFailure, Strategy as ExploreStrategy,
     };
     pub use pmm_simnet::{
-        engine_from_env, fuzz_schedules, poll_now, schedule_from_env, seed_from_env, Attribution,
-        ChoicePoint, Comm, CriticalPath, Engine, FaultPlan, LocalBoxFuture, Meter, Rank,
-        RankFailed, Repro, Resource, RunFailure, Schedule, ScheduleTrace, TraceEvent, TraceOp,
-        Tracer, World, WorldResult, ENGINE_ENV, SCHEDULE_ENV,
+        fuzz_schedules, schedule_from_env, seed_from_env, Attribution, ChoicePoint, Comm,
+        CriticalPath, Engine, FaultPlan, LocalBoxFuture, Meter, Rank, RankFailed, Repro, Resource,
+        RunFailure, Schedule, ScheduleTrace, TraceEvent, TraceOp, Tracer, World, WorldResult,
+        SCHEDULE_ENV,
     };
 }

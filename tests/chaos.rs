@@ -1,11 +1,10 @@
 //! Chaos certification: every executable algorithm under multi-fault
-//! plans, on both engines, with model-exact recovery goodput.
+//! plans, with model-exact recovery goodput.
 //!
-//! The tier-1 cell (`chaos_cert_all_six_algorithms_on_both_engines`)
-//! arms one pinned plan — a direct kill, a cascading kill, a healing
-//! partition, a straggler storm, and background drops — against all six
-//! algorithms through the generic [`run_recoverable`] wrapper on both
-//! `Engine::Threads` and `Engine::EventLoop`, and asserts
+//! The tier-1 cell (`chaos_cert_all_six_algorithms`) arms one pinned
+//! plan — a direct kill, a cascading kill, a healing partition, a
+//! straggler storm, and background drops — against all six algorithms
+//! through the generic [`run_recoverable_a`] wrapper, and asserts
 //!
 //! * the product reassembled from the survivors' shares is **bitwise**
 //!   equal to the serial reference,
@@ -15,15 +14,14 @@
 //! * whole-run goodput stays under the prediction's upper bound.
 //!
 //! The `#[ignore]`d release cells extend the certification to a
-//! (algorithm × Theorem-3 regime × plan class × engine) soak and to a
-//! fault-armed Algorithm 1 run at P = 10^4 + 1 on the event-loop
-//! engine (one kill plus a healing partition, recovering onto the
+//! (algorithm × Theorem-3 regime × plan class) soak and to a
+//! fault-armed Algorithm 1 run at P = 10^4 + 1 (one kill plus a healing
+//! partition, recovering onto the
 //! integral §5.2 grid `[25, 20, 20]` of the 10^4 survivors). Each cell
 //! prints a `CHAOS: key=value` line; `cargo xtask chaos-soak` runs the
 //! whole file in release mode and collects those lines into
 //! `BENCH_chaos.json`, gating on a 100% recovery success rate.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use pmm::prelude::*;
@@ -40,13 +38,6 @@ fn reference(dims: MatMulDims) -> Matrix {
     gemm(&a, &b, Kernel::Naive)
 }
 
-fn engine_label(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Threads => "threads",
-        Engine::EventLoop => "event-loop",
-    }
-}
-
 fn all_specs() -> Vec<(&'static str, Recoverable)> {
     vec![
         ("alg1", Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter }),
@@ -59,34 +50,25 @@ fn all_specs() -> Vec<(&'static str, Recoverable)> {
 }
 
 /// Run `spec` under recovery on a faulty world. Inputs are generated
-/// once and `Arc`-shared across rank programs (required at large `P`).
+/// once and shared by all rank programs (required at large `P`).
 fn run_chaos(
     spec: &Recoverable,
     dims: MatMulDims,
     p: usize,
     sched_seed: u64,
     plan: FaultPlan,
-    engine: Engine,
     at_scale: bool,
 ) -> WorldResult<Result<Recovered, RankFailed>> {
     let (a, b) = inputs(dims);
-    let (a, b) = (Arc::new(a), Arc::new(b));
-    let spec = spec.clone();
-    let mut world = World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .with_seed(sched_seed)
-        .with_faults(plan)
-        .with_engine(engine);
+    let mut world =
+        World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(plan);
     if at_scale {
         // Schedule recording snapshots the runnable set per pick (O(P)
         // per event) — off at scale; targeted wakeup keeps the
         // runnable-set bookkeeping proportional to the active ranks.
-        world = world.with_schedule_recording(false).with_targeted_wakeup(true).without_watchdog();
+        world = world.with_schedule_recording(false).with_targeted_wakeup(true);
     }
-    world.run_async(move |rank| {
-        let spec = spec.clone();
-        let (a, b) = (a.clone(), b.clone());
-        Box::pin(async move { run_recoverable_a(rank, &spec, dims, &a, &b).await })
-    })
+    world.run(async |rank| run_recoverable_a(rank, spec, dims, &a, &b).await)
 }
 
 /// Certify one chaos cell: survivors agree, the reassembled product is
@@ -164,7 +146,7 @@ fn tier1_plan() -> FaultPlan {
 }
 
 #[test]
-fn chaos_cert_all_six_algorithms_on_both_engines() {
+fn chaos_cert_all_six_algorithms() {
     // P = 10 with two deaths → 8 survivors: best_grid gives the
     // divisible [2, 2, 2] (exact eq. (3) run goodput), SUMMA refactors
     // to 2 × 4, Cannon to a 2 × 2 torus with 4 idle survivors, 2.5D to
@@ -173,24 +155,20 @@ fn chaos_cert_all_six_algorithms_on_both_engines() {
     let dims = MatMulDims::new(24, 24, 24);
     let c_ref = reference(dims);
     for (alg, spec) in all_specs() {
-        for engine in [Engine::Threads, Engine::EventLoop] {
-            let label = format!("{alg}/{}", engine_label(engine));
-            let t0 = Instant::now();
-            let out = run_chaos(&spec, dims, 10, 0xC0DE, tier1_plan(), engine, false);
-            let killed = out.values[2].as_ref().expect_err("rank 2 was killed");
-            assert!(killed.detail.contains("kill=2@3"), "{label}: {}", killed.detail);
-            let cascaded = out.values[7].as_ref().expect_err("rank 7 cascaded");
-            assert!(cascaded.detail.contains("cascade=7@1"), "{label}: {}", cascaded.detail);
-            let (attempts, nsurv, plan) = certify_cell(&label, &out, dims, &c_ref, true);
-            assert_eq!(nsurv, 8, "{label}");
-            assert!(attempts >= 2, "{label}: the kills force at least one re-plan");
-            println!(
-                "CHAOS: cell=cert algorithm={alg} engine={} p=10 survivors={nsurv} \
-                 attempts={attempts} layout={plan} recovered=1 secs={:.3}",
-                engine_label(engine),
-                t0.elapsed().as_secs_f64()
-            );
-        }
+        let t0 = Instant::now();
+        let out = run_chaos(&spec, dims, 10, 0xC0DE, tier1_plan(), false);
+        let killed = out.values[2].as_ref().expect_err("rank 2 was killed");
+        assert!(killed.detail.contains("kill=2@3"), "{alg}: {}", killed.detail);
+        let cascaded = out.values[7].as_ref().expect_err("rank 7 cascaded");
+        assert!(cascaded.detail.contains("cascade=7@1"), "{alg}: {}", cascaded.detail);
+        let (attempts, nsurv, plan) = certify_cell(alg, &out, dims, &c_ref, true);
+        assert_eq!(nsurv, 8, "{alg}");
+        assert!(attempts >= 2, "{alg}: the kills force at least one re-plan");
+        println!(
+            "CHAOS: cell=cert algorithm={alg} p=10 survivors={nsurv} attempts={attempts} \
+             layout={plan} recovered=1 secs={:.3}",
+            t0.elapsed().as_secs_f64()
+        );
     }
 }
 
@@ -202,7 +180,7 @@ fn chaos_cert_replays_byte_identically() {
     // triple.
     let dims = MatMulDims::new(24, 24, 24);
     let spec = Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-    let run = || run_chaos(&spec, dims, 10, 0xC0DE, tier1_plan(), Engine::EventLoop, false);
+    let run = || run_chaos(&spec, dims, 10, 0xC0DE, tier1_plan(), false);
     let (first, again) = (run(), run());
     assert_eq!(first.values, again.values, "per-rank results must replay byte-identically");
     for (w, (x, y)) in first.reports.iter().zip(&again.reports).enumerate() {
@@ -228,7 +206,7 @@ fn plan_classes(p: usize) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// The full soak: algorithm × Theorem-3 regime × plan class × engine on
+/// The full soak: algorithm × Theorem-3 regime × plan class on
 /// the conformance instance `(96, 24, 12)` (P = 3 in the 1D case, 16 in
 /// 2D, 64 in 3D). Wall-clock capped by `PMM_CHAOS_BUDGET_SECS`
 /// (default 240): cells past the budget are skipped and counted in the
@@ -248,28 +226,24 @@ fn chaos_soak_algorithms_by_regime_by_plan_class() {
     for (alg, spec) in all_specs() {
         for p in [3usize, 16, 64] {
             for (class, plan) in plan_classes(p) {
-                for engine in [Engine::Threads, Engine::EventLoop] {
-                    if start.elapsed() >= budget {
-                        skipped += 1;
-                        continue;
-                    }
-                    let label = format!("{alg}/p{p}/{class}/{}", engine_label(engine));
-                    let t0 = Instant::now();
-                    let out = run_chaos(&spec, dims, p, 0x50AB, plan.clone(), engine, false);
-                    // Run goodput exactness is asserted on the tier-1
-                    // cert's divisible grid; the soak checks bitwise
-                    // correctness, exact restore goodput, and the upper
-                    // bound on every (possibly uneven) survivor layout.
-                    let (attempts, nsurv, layout) = certify_cell(&label, &out, dims, &c_ref, false);
-                    ran += 1;
-                    println!(
-                        "CHAOS: cell=soak algorithm={alg} engine={} p={p} class={class} \
-                         survivors={nsurv} attempts={attempts} layout={layout} recovered=1 \
-                         secs={:.3}",
-                        engine_label(engine),
-                        t0.elapsed().as_secs_f64()
-                    );
+                if start.elapsed() >= budget {
+                    skipped += 1;
+                    continue;
                 }
+                let label = format!("{alg}/p{p}/{class}");
+                let t0 = Instant::now();
+                let out = run_chaos(&spec, dims, p, 0x50AB, plan, false);
+                // Run goodput exactness is asserted on the tier-1 cert's
+                // divisible grid; the soak checks bitwise correctness,
+                // exact restore goodput, and the upper bound on every
+                // (possibly uneven) survivor layout.
+                let (attempts, nsurv, layout) = certify_cell(&label, &out, dims, &c_ref, false);
+                ran += 1;
+                println!(
+                    "CHAOS: cell=soak algorithm={alg} p={p} class={class} survivors={nsurv} \
+                     attempts={attempts} layout={layout} recovered=1 secs={:.3}",
+                    t0.elapsed().as_secs_f64()
+                );
             }
         }
     }
@@ -280,8 +254,8 @@ fn chaos_soak_algorithms_by_regime_by_plan_class() {
     assert!(ran > 0, "the soak budget must admit at least one cell");
 }
 
-/// The scale acceptance cell: fault-armed Algorithm 1 end-to-end on the
-/// event-loop engine at P = 10^4 + 1. Rank 10^4 is killed during the
+/// The scale acceptance cell: fault-armed Algorithm 1 end-to-end at
+/// P = 10^4 + 1. Rank 10^4 is killed during the
 /// first attempt and a partition around ranks {0..3} blackholes their
 /// early traffic until it heals; the 10^4 survivors redistribute from
 /// checkpoints onto the integral §5.2 grid `[25, 20, 20]` of
@@ -289,7 +263,7 @@ fn chaos_soak_algorithms_by_regime_by_plan_class() {
 /// bitwise-correct product.
 #[test]
 #[ignore = "release cell; run via cargo xtask chaos-soak"]
-fn fault_armed_alg1_recovers_at_p_10_4_on_the_event_loop() {
+fn fault_armed_alg1_recovers_at_p_10_4() {
     let dims = MatMulDims::new(250, 200, 200);
     let p = 10_001;
     let plan = FaultPlan::none().with_seed(0xC0A7).with_kill(10_000, 2).with_partition(
@@ -299,7 +273,7 @@ fn fault_armed_alg1_recovers_at_p_10_4_on_the_event_loop() {
     );
     let spec = Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
     let t0 = Instant::now();
-    let out = run_chaos(&spec, dims, p, 3, plan, Engine::EventLoop, true);
+    let out = run_chaos(&spec, dims, p, 3, plan, true);
     let secs = t0.elapsed().as_secs_f64();
 
     let killed = out.values[10_000].as_ref().expect_err("rank 10000 was killed");
@@ -321,7 +295,7 @@ fn fault_armed_alg1_recovers_at_p_10_4_on_the_event_loop() {
     }
     let rate = nsurv as f64 * attempts as f64 / secs.max(1e-9);
     println!(
-        "CHAOS: cell=p10k algorithm=alg1 engine=event-loop p={p} survivors={nsurv} \
+        "CHAOS: cell=p10k algorithm=alg1 p={p} survivors={nsurv} \
          attempts={attempts} layout={layout} recovered=1 secs={secs:.3} ranks_per_sec={rate:.0}"
     );
 }

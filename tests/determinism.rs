@@ -27,13 +27,13 @@ fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
 }
 
 /// The `algorithms_agree` Algorithm 1 workload: P = 12, 2 × 3 × 2 grid.
-fn alg1_world_and_program() -> (World, impl Fn(&mut Rank) -> Vec<f64> + Send + Sync + Clone) {
+fn alg1_world_and_program() -> (World, impl AsyncFn(&mut Rank) -> Vec<f64> + Clone) {
     let dims = MatMulDims::new(24, 12, 18);
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config { dims, grid, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-    let program = move |rank: &mut Rank| {
+    let program = async move |rank: &mut Rank| {
         let (a, b) = inputs(dims);
-        alg1(rank, &cfg, &a, &b).c_chunk
+        alg1_a(rank, &cfg, &a, &b).await.c_chunk
     };
     (World::new(12, MachineParams::BANDWIDTH_ONLY), program)
 }
@@ -84,27 +84,27 @@ fn fuzz_schedules_covers_the_other_agree_workloads() {
     let dims = MatMulDims::new(24, 12, 18);
     let ccfg = CannonConfig { dims, q: 3, kernel: Kernel::Naive };
     let world = World::new(9, MachineParams::BANDWIDTH_ONLY);
-    fuzz_schedules(&world, &[1, 2, 3], move |rank: &mut Rank| {
+    fuzz_schedules(&world, &[1, 2, 3], async move |rank: &mut Rank| {
         let (a, b) = inputs(dims);
-        cannon(rank, &ccfg, &a, &b).c_block
+        cannon_a(rank, &ccfg, &a, &b).await.c_block
     })
     .unwrap_or_else(|d| panic!("{d}"));
 
     // SUMMA, P = 6 (broadcast pipelines).
     let scfg = SummaConfig { dims, pr: 2, pc: 3, kernel: Kernel::Naive };
     let world = World::new(6, MachineParams::BANDWIDTH_ONLY);
-    fuzz_schedules(&world, &[1, 2, 3], move |rank: &mut Rank| {
+    fuzz_schedules(&world, &[1, 2, 3], async move |rank: &mut Rank| {
         let (a, b) = inputs(dims);
-        summa(rank, &scfg, &a, &b).c_block
+        summa_a(rank, &scfg, &a, &b).await.c_block
     })
     .unwrap_or_else(|d| panic!("{d}"));
 
     // 2.5D, P = 8 (replicated layers + reduction).
     let tcfg = TwoFiveDConfig { dims, q: 2, c: 2, kernel: Kernel::Naive };
     let world = World::new(8, MachineParams::BANDWIDTH_ONLY);
-    fuzz_schedules(&world, &[1, 2, 3], move |rank: &mut Rank| {
+    fuzz_schedules(&world, &[1, 2, 3], async move |rank: &mut Rank| {
         let (a, b) = inputs(dims);
-        twofived(rank, &tcfg, &a, &b).c_block
+        twofived_a(rank, &tcfg, &a, &b).await.c_block
     })
     .unwrap_or_else(|d| panic!("{d}"));
 }

@@ -59,12 +59,12 @@ fn fingerprint<T: std::fmt::Debug>(outcome: ScheduleOutcome<'_, T>) -> String {
 /// reports.
 fn certify<T, F>(label: &str, world: &World, program: F) -> (ExploreReport, ExploreReport)
 where
-    T: Send + std::fmt::Debug,
-    F: Fn(&mut Rank) -> T + Send + Sync + Copy,
+    T: std::fmt::Debug,
+    F: AsyncFn(&mut Rank) -> T,
 {
     let mut exhaustive_fps = BTreeSet::new();
     let t0 = Instant::now();
-    let full = explore_outcomes(world, program, &ExploreConfig::exhaustive(), |_, outcome| {
+    let full = explore_outcomes(world, &program, &ExploreConfig::exhaustive(), |_, outcome| {
         exhaustive_fps.insert(fingerprint(outcome));
         Ok(())
     })
@@ -76,7 +76,7 @@ where
 
     let mut sleep_fps = BTreeSet::new();
     let t1 = Instant::now();
-    let pruned = explore_outcomes(world, program, &ExploreConfig::sleep_sets(), |_, outcome| {
+    let pruned = explore_outcomes(world, &program, &ExploreConfig::sleep_sets(), |_, outcome| {
         sleep_fps.insert(fingerprint(outcome));
         Ok(())
     })
@@ -107,14 +107,18 @@ where
 
 #[test]
 fn exhaustive_certificate_pins_the_gather3_schedule_space() {
-    let world = World::new(3, MachineParams::BANDWIDTH_ONLY).without_watchdog();
-    let gather = |rank: &mut Rank| {
+    let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
+    let gather = async |rank: &mut Rank| {
         let comm = rank.world_comm();
         let me = rank.world_rank();
         if me == 0 {
-            (1..comm.size()).map(|from| rank.recv(&comm, from).payload[0]).sum()
+            let mut sum = 0.0;
+            for from in 1..comm.size() {
+                sum += rank.recv_a(&comm, from).await.payload[0];
+            }
+            sum
         } else {
-            rank.send(&comm, 0, &[me as f64]);
+            rank.send_a(&comm, 0, &[me as f64]).await;
             0.0
         }
     };
@@ -129,11 +133,11 @@ fn exhaustive_certificate_pins_the_gather3_schedule_space() {
 fn exhaustive_certificate_pins_the_barrier4_schedule_space() {
     // The pinned 4-rank collective workload of `cargo xtask dpor`: a
     // registered barrier collective followed by the barrier itself.
-    let world = World::new(4, MachineParams::BANDWIDTH_ONLY).without_watchdog();
-    let barrier = |rank: &mut Rank| {
+    let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
+    let barrier = async |rank: &mut Rank| {
         let comm = rank.world_comm();
-        rank.collective_begin(&comm, CollectiveOp::Barrier, 0);
-        rank.hard_sync();
+        rank.collective_begin_a(&comm, CollectiveOp::Barrier, 0).await;
+        rank.hard_sync_a().await;
         rank.world_rank()
     };
     let (full, pruned) = certify("barrier4", &world, barrier);
@@ -166,15 +170,15 @@ fn alg1_traffic_matches_eq3_on_every_explored_schedule() {
         kernel: Kernel::Naive,
         assembly: Assembly::ReduceScatter,
     };
-    let world = World::new(p, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    let world = World::new(p, MachineParams::BANDWIDTH_ONLY);
     let budget = Duration::from_secs(env_u64("PMM_EXPLORE_BUDGET_SECS", 60).max(10) / 2);
     let t0 = Instant::now();
     let report = explore_checked(
         &world,
-        move |rank| {
+        async |rank| {
             let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11);
             let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22);
-            let out = alg1(rank, &cfg, &a, &b);
+            let out = alg1_a(rank, &cfg, &a, &b).await;
             // Digest: C chunk bits + per-phase traffic (bitwise
             // comparable across schedules).
             let c_bits: Vec<u64> = out.c_chunk.iter().map(|x| x.to_bits()).collect();
@@ -215,11 +219,11 @@ fn alg1_traffic_matches_eq3_on_every_explored_schedule() {
 
 #[test]
 fn budget_caps_the_frontier_sweep() {
-    let world = World::new(4, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    let world = World::new(4, MachineParams::BANDWIDTH_ONLY);
     let report = explore(
         &world,
-        |rank| {
-            rank.hard_sync();
+        async |rank| {
+            rank.hard_sync_a().await;
             rank.world_rank()
         },
         &ExploreConfig {
@@ -236,12 +240,12 @@ fn budget_caps_the_frontier_sweep() {
 
 #[test]
 fn a_failing_schedule_names_its_choice_prefix() {
-    let world = World::new(2, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    let world = World::new(2, MachineParams::BANDWIDTH_ONLY);
     let mut seen = 0u64;
     let failure = explore_outcomes(
         &world,
-        |rank| {
-            rank.hard_sync();
+        async |rank| {
+            rank.hard_sync_a().await;
             rank.world_rank()
         },
         &ExploreConfig::exhaustive(),
@@ -267,15 +271,15 @@ fn deadlocking_programs_are_explored_not_hung() {
     // must still walk the whole (tiny) tree, handing each deadlock to
     // the callback as a captured failure rather than hanging or
     // panicking.
-    let world = World::new(2, MachineParams::BANDWIDTH_ONLY).without_watchdog();
+    let world = World::new(2, MachineParams::BANDWIDTH_ONLY);
     let mut outcomes = 0u64;
     let report = explore_outcomes(
         &world,
-        |rank| {
+        async |rank| {
             let comm = rank.world_comm();
             let peer = 1 - rank.world_rank();
-            let got = rank.recv(&comm, peer).payload[0];
-            rank.send(&comm, peer, &[got]);
+            let got = rank.recv_a(&comm, peer).await.payload[0];
+            rank.send_a(&comm, peer, &[got]).await;
         },
         &ExploreConfig::exhaustive(),
         |prefix, outcome| {
@@ -323,124 +327,25 @@ fn generator_soak_has_zero_false_reports() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Event-loop engine: the certificates carry across engines
-// ---------------------------------------------------------------------------
-
-/// Async analogue of [`certify`] running every replay on
-/// [`Engine::EventLoop`]: the choice tree is a property of the
-/// deterministic scheduler, not of the execution backend, so the
-/// exhaustive schedule counts pinned on the thread engine must
-/// reproduce exactly on the event loop.
-fn certify_event<T, F>(label: &str, world: &World, program: F) -> (ExploreReport, ExploreReport)
-where
-    T: Send + std::fmt::Debug,
-    F: for<'a> Fn(&'a mut Rank) -> LocalBoxFuture<'a, T> + Send + Sync + Copy,
-{
-    let world = world.clone().with_engine(Engine::EventLoop);
-    let mut exhaustive_fps = BTreeSet::new();
-    let full =
-        explore_outcomes_async(&world, program, &ExploreConfig::exhaustive(), |_, outcome| {
-            exhaustive_fps.insert(fingerprint(outcome));
-            Ok(())
-        })
-        .unwrap_or_else(|f| panic!("{label} event-loop exhaustive walk failed: {f}"));
-    assert!(full.complete, "{label}: event-loop exhaustive walk must drain the frontier");
-    assert_eq!(full.pruned, 0, "{label}: exhaustive walk must not prune");
-
-    let mut sleep_fps = BTreeSet::new();
-    let pruned =
-        explore_outcomes_async(&world, program, &ExploreConfig::sleep_sets(), |_, outcome| {
-            sleep_fps.insert(fingerprint(outcome));
-            Ok(())
-        })
-        .unwrap_or_else(|f| panic!("{label} event-loop sleep-set walk failed: {f}"));
-    assert!(pruned.complete, "{label}: event-loop sleep-set walk must drain the frontier");
-    assert_eq!(
-        sleep_fps, exhaustive_fps,
-        "{label}: sleep-set pruning must cover every distinct outcome on the event loop"
-    );
-    (full, pruned)
-}
-
-/// The gather3 workload as an async rank program.
-fn gather3_a(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
-    Box::pin(async move {
-        let comm = rank.world_comm();
-        let me = rank.world_rank();
-        if me == 0 {
-            let mut sum = 0.0;
-            for from in 1..comm.size() {
-                sum += rank.recv_a(&comm, from).await.payload[0];
-            }
-            sum
-        } else {
-            rank.send_a(&comm, 0, &[me as f64]).await;
-            0.0
-        }
-    })
-}
-
-/// The barrier4 workload as an async rank program.
-fn barrier4_a(rank: &mut Rank) -> LocalBoxFuture<'_, usize> {
-    Box::pin(async move {
-        let comm = rank.world_comm();
-        rank.collective_begin_a(&comm, CollectiveOp::Barrier, 0).await;
-        rank.hard_sync_a().await;
-        rank.world_rank()
-    })
-}
-
-/// A 3-rank exchange ring as an async rank program.
-fn ring3_a(rank: &mut Rank) -> LocalBoxFuture<'_, f64> {
-    Box::pin(async move {
-        let comm = rank.world_comm();
-        let me = rank.world_rank();
-        let n = comm.size();
-        let msg = rank.exchange_a(&comm, (me + 1) % n, (me + n - 1) % n, &[me as f64]).await;
-        msg.payload[0]
-    })
-}
-
-#[test]
-fn event_loop_reproduces_the_gather3_certificate() {
-    // Same workload as `exhaustive_certificate_pins_the_gather3_schedule_space`,
-    // expressed as an async rank program and explored on the event-loop
-    // engine: the 72-interleaving certificate must not move.
-    let world = World::new(3, MachineParams::BANDWIDTH_ONLY).without_watchdog();
-    let (full, pruned) = certify_event("gather3/event", &world, gather3_a);
-    assert_eq!(full.schedules, 72, "gather3 certificate drifted on the event-loop engine");
-    assert!(pruned.pruned > 0, "gather3 must give sleep sets something to prune");
-}
-
-#[test]
-fn event_loop_reproduces_the_barrier4_certificate() {
-    // The 4-rank barrier workload: all 15120 interleavings, replayed as
-    // resumable continuations instead of parked threads.
-    let world = World::new(4, MachineParams::BANDWIDTH_ONLY).without_watchdog();
-    let (full, pruned) = certify_event("barrier4/event", &world, barrier4_a);
-    assert_eq!(full.schedules, 15120, "barrier4 certificate drifted on the event-loop engine");
-    assert!(
-        pruned.schedules < full.schedules / 10,
-        "sleep sets should prune the barrier4 space by at least 10x on the event loop \
-         (got {} of {})",
-        pruned.schedules,
-        full.schedules
-    );
+/// A 3-rank exchange ring.
+async fn ring3(rank: &mut Rank) -> f64 {
+    let comm = rank.world_comm();
+    let me = rank.world_rank();
+    let n = comm.size();
+    let msg = rank.exchange_a(&comm, (me + 1) % n, (me + n - 1) % n, &[me as f64]).await;
+    msg.payload[0]
 }
 
 #[test]
 fn pmm_schedule_prefix_replays_on_the_event_loop() {
     // A `PMM_SCHEDULE=prefix:...` recipe (parsed through the same
     // `FromStr` that `schedule_from_env` uses) must replay an explored
-    // branch exactly on the event-loop engine: same values, same
-    // meters, same recorded choice stream.
-    let world = World::new(3, MachineParams::BANDWIDTH_ONLY)
-        .without_watchdog()
-        .with_engine(Engine::EventLoop);
+    // branch exactly: same values, same meters, same recorded choice
+    // stream.
+    let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
     // Pick one explored schedule and remember its full choice prefix.
     let mut recipe: Option<(Vec<usize>, String)> = None;
-    explore_outcomes_async(&world, ring3_a, &ExploreConfig::exhaustive(), |prefix, outcome| {
+    explore_outcomes(&world, ring3, &ExploreConfig::exhaustive(), |prefix, outcome| {
         if recipe.is_none() && !prefix.is_empty() {
             recipe = Some((prefix.to_vec(), fingerprint(outcome)));
         }
@@ -454,11 +359,8 @@ fn pmm_schedule_prefix_replays_on_the_event_loop() {
     let parsed: Schedule = env_value.parse().expect("rendered schedule must parse back");
     assert_eq!(parsed, Schedule::Prefix(prefix.clone()), "PMM_SCHEDULE round-trip");
 
-    let replay = world
-        .clone()
-        .with_schedule(parsed)
-        .try_run_async(ring3_a)
-        .expect("prefix replay must succeed");
+    let replay =
+        world.clone().with_schedule(parsed).try_run(ring3).expect("prefix replay must succeed");
     assert_eq!(fingerprint(Ok(&replay)), want_fp, "prefix replay diverged from the explored run");
     let picks: Vec<usize> = replay
         .choice_points
@@ -496,7 +398,7 @@ fn explorer_cross_checks_generated_programs() {
         let cfg = ExploreConfig::budgeted(20, Duration::from_secs(20));
         let report = explore_outcomes(
             &world,
-            |rank| pmm::explore::interpret(&prog, rank),
+            async |rank| pmm::explore::interpret(&prog, rank).await,
             &cfg,
             |prefix, outcome| {
                 let gen_outcome = GenOutcome {

@@ -10,9 +10,7 @@
 //! Around it:
 //! * a fault-rate × seed sweep across the three Theorem 3 regimes (1D /
 //!   2D / 3D-leaning processor counts), driven by `cargo xtask
-//!   fault-sweep` via the `PMM_FAULT_RATE` / `PMM_ENGINE` env knobs —
-//!   the recovery runs here go through `run_async` +
-//!   `engine_from_env`, so the same cells certify both engines;
+//!   fault-sweep` via the `PMM_FAULT_RATE` env knob;
 //! * property tests for exactly-once delivery under arbitrary
 //!   drop/duplicate/corrupt schedules, and for the `--faults` SPEC
 //!   grammar round-tripping through `Display`/`FromStr` (including the
@@ -21,10 +19,10 @@
 //!   fault plan — fault decisions are schedule-independent by
 //!   construction, so values *and* retry meters agree across seeds;
 //! * SUMMA recovery on its near-square shrunken grid through the
-//!   generic [`run_recoverable`] wrapper;
-//! * the uncaught-kill path on **both** engines: `World::run` /
-//!   `run_async` report a typed rank failure naming the kill site and
-//!   the replay seed, never a deadlock.
+//!   generic [`run_recoverable_a`] wrapper;
+//! * the uncaught-kill path, seeded and without a schedule: `World::run`
+//!   reports a typed rank failure naming the kill site and the replay
+//!   recipe, never a deadlock.
 
 use pmm::prelude::*;
 use pmm_simnet::{FaultPlan, RankFailed};
@@ -52,26 +50,21 @@ fn fault_rate_from_env(default: f64) -> f64 {
 }
 
 /// Run Algorithm 1 under the generic recovery wrapper on a faulty world
-/// and return the per-rank results plus reports. Honors `PMM_ENGINE`
-/// (the fault-sweep matrix runs this on both backends).
+/// and return the per-rank results plus reports.
 fn run_recovery(
     dims: MatMulDims,
     p: usize,
     sched_seed: u64,
     plan: FaultPlan,
 ) -> WorldResult<Result<Recovered, RankFailed>> {
-    World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .with_seed(sched_seed)
-        .with_faults(plan)
-        .with_engine(engine_from_env(Engine::Threads))
-        .run_async(move |rank| {
-            Box::pin(async move {
-                let (a, b) = inputs(dims);
-                let spec =
-                    Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
-                run_recoverable_a(rank, &spec, dims, &a, &b).await
-            })
-        })
+    World::new(p, MachineParams::BANDWIDTH_ONLY).with_seed(sched_seed).with_faults(plan).run(
+        async |rank| {
+            let (a, b) = inputs(dims);
+            let spec =
+                Recoverable::Alg1 { kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
+            run_recoverable_a(rank, &spec, dims, &a, &b).await
+        },
+    )
 }
 
 /// Assemble C from the survivors' shares and assert bitwise equality with
@@ -242,9 +235,9 @@ fn healing_partition_delays_but_does_not_break_delivery() {
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        world.run(move |rank: &mut Rank| {
+        world.run(async move |rank: &mut Rank| {
             let (a, b) = inputs(dims);
-            alg1(rank, &cfg, &a, &b).c_chunk
+            alg1_a(rank, &cfg, &a, &b).await.c_chunk
         })
     };
     let clean = run(None);
@@ -272,9 +265,9 @@ fn straggler_storm_slows_the_clock_without_changing_traffic() {
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        world.run(move |rank: &mut Rank| {
+        world.run(async move |rank: &mut Rank| {
             let (a, b) = inputs(dims);
-            alg1(rank, &cfg, &a, &b).c_chunk
+            alg1_a(rank, &cfg, &a, &b).await.c_chunk
         })
     };
     let clean = run(None);
@@ -376,20 +369,22 @@ proptest! {
         let out = World::new(2, MachineParams::BANDWIDTH_ONLY)
             .with_seed(9)
             .with_faults(plan)
-            .run(move |rank| {
+            .run(async move |rank| {
                 let wc = rank.world_comm();
                 if rank.world_rank() == 0 {
                     for i in 0..n_msgs {
                         // Distinct sizes and values so reordering,
                         // duplication, or corruption cannot cancel out.
                         let w = 1 + (i % 5);
-                        rank.send(&wc, 1, &vec![i as f64 + 0.25; w]);
+                        rank.send_a(&wc, 1, &vec![i as f64 + 0.25; w]).await;
                     }
                     Vec::new()
                 } else {
-                    (0..n_msgs)
-                        .map(|_| rank.recv(&wc, 0).payload)
-                        .collect::<Vec<_>>()
+                    let mut got = Vec::new();
+                    for _ in 0..n_msgs {
+                        got.push(rank.recv_a(&wc, 0).await.payload);
+                    }
+                    got
                 }
             });
         let got = &out.values[1];
@@ -484,9 +479,9 @@ fn fault_decisions_are_schedule_independent_across_seeds() {
         .with_partition(vec![0, 1], 3..9, 2)
         .with_storm(0.25, 3.0);
     let world = World::new(12, MachineParams::BANDWIDTH_ONLY).with_faults(plan);
-    let program = move |rank: &mut Rank| {
+    let program = async move |rank: &mut Rank| {
         let (a, b) = inputs(dims);
-        alg1(rank, &cfg, &a, &b).c_chunk
+        alg1_a(rank, &cfg, &a, &b).await.c_chunk
     };
     fuzz_schedules(&world, &[1, 2, 3, 4], program).unwrap_or_else(|d| panic!("{d}"));
 }
@@ -501,9 +496,10 @@ fn summa_recovers_on_near_square_survivor_grid() {
     // 3×2 grid of 6; kill rank 3 early — 5 survivors refactor to 1×5.
     let plan = FaultPlan::none().with_seed(0xF0).with_drop(0.05).with_kill(3, 3);
     let out = World::new(6, MachineParams::BANDWIDTH_ONLY).with_seed(5).with_faults(plan).run(
-        move |rank| {
+        async |rank| {
             let (a, b) = inputs(dims);
-            run_recoverable(rank, &Recoverable::Summa { kernel: Kernel::Naive }, dims, &a, &b)
+            run_recoverable_a(rank, &Recoverable::Summa { kernel: Kernel::Naive }, dims, &a, &b)
+                .await
         },
     );
     assert!(out.values[3].is_err(), "killed rank reports failure");
@@ -518,50 +514,46 @@ fn summa_recovers_on_near_square_survivor_grid() {
 }
 
 // ---------------------------------------------------------------------------
-// Failure reporting (both engines)
+// Failure reporting
 // ---------------------------------------------------------------------------
 
-/// The uncaught-kill program: no `catch_failures` anywhere, so the kill
+/// The uncaught-kill program: no catching scope anywhere, so the kill
 /// must surface as a typed world-level failure naming the fault-plan
-/// entry and the replay seed — never as a deadlock or divergence abort.
-fn assert_uncaught_kill_reports_rank_failure(engine: Engine) {
+/// entry and the replay recipe — never as a deadlock or divergence abort.
+fn assert_uncaught_kill_reports_rank_failure(world: World, repro: &str) {
     let err = std::panic::catch_unwind(|| {
-        World::new(3, MachineParams::BANDWIDTH_ONLY)
-            .with_seed(7)
-            .with_faults(FaultPlan::none().with_kill(1, 1))
-            .with_engine(engine)
-            .run_async(|rank| {
-                Box::pin(async move {
-                    let wc = rank.world_comm();
-                    let partner = (rank.world_rank() + 1) % 3;
-                    let from = (rank.world_rank() + 2) % 3;
-                    rank.exchange_a(&wc, partner, from, &[1.0]).await.payload[0]
-                })
-            })
+        world.with_faults(FaultPlan::none().with_kill(1, 1)).run(async |rank| {
+            let wc = rank.world_comm();
+            let partner = (rank.world_rank() + 1) % 3;
+            let from = (rank.world_rank() + 2) % 3;
+            rank.exchange_a(&wc, partner, from, &[1.0]).await.payload[0]
+        })
     })
     .expect_err("uncaught kill must fail the run");
     let msg = err.downcast_ref::<String>().expect("panic message is a String");
-    // Two reporters can win the race: the verifier (if survivors block on
-    // the dead rank first) or the world join loop (if the killed rank's
-    // panic surfaces first). Both must name the fault, never a deadlock.
-    assert!(msg.contains("rank failure"), "[{engine:?}] {msg}");
-    assert!(msg.contains("kill=1@1"), "[{engine:?}] {msg}");
-    assert!(
-        !msg.contains("deadlock detected"),
-        "[{engine:?}] must not misreport as deadlock: {msg}"
-    );
-    assert!(!msg.contains("diverged"), "[{engine:?}] must not misreport as divergence: {msg}");
-    assert!(msg.contains("PMM_SEED=7"), "[{engine:?}] report must carry the replay seed: {msg}");
+    // Two reporters can win: the scheduler (if survivors block on the
+    // dead rank first) or the event loop (if the killed rank's unwind
+    // surfaces first). Both must name the fault, never a deadlock.
+    assert!(msg.contains("rank failure"), "{msg}");
+    assert!(msg.contains("kill=1@1"), "{msg}");
+    assert!(!msg.contains("deadlock detected"), "must not misreport as deadlock: {msg}");
+    assert!(!msg.contains("diverged"), "must not misreport as divergence: {msg}");
+    assert!(msg.contains(repro), "report must carry the replay recipe {repro}: {msg}");
 }
 
 #[test]
 fn uncaught_kill_reports_rank_failure_not_deadlock() {
-    assert_uncaught_kill_reports_rank_failure(Engine::Threads);
+    let world = World::new(3, MachineParams::BANDWIDTH_ONLY).with_seed(7);
+    assert_uncaught_kill_reports_rank_failure(world, "PMM_SEED=7");
 }
 
 #[test]
 fn uncaught_kill_reports_rank_failure_not_deadlock_on_event_loop() {
-    assert_uncaught_kill_reports_rank_failure(Engine::EventLoop);
+    // A world without a schedule: canonical picks, targeted wakeups,
+    // nothing recorded. The report names the empty prefix, which
+    // replays the run.
+    let world = World::new(3, MachineParams::BANDWIDTH_ONLY);
+    assert_uncaught_kill_reports_rank_failure(world, "PMM_SCHEDULE=prefix:");
 }
 
 #[test]
@@ -575,9 +567,9 @@ fn straggler_slows_the_clock_without_changing_traffic() {
         if let Some(p) = plan {
             world = world.with_faults(p);
         }
-        world.run(move |rank: &mut Rank| {
+        world.run(async move |rank: &mut Rank| {
             let (a, b) = inputs(dims);
-            alg1(rank, &cfg, &a, &b).c_chunk
+            alg1_a(rank, &cfg, &a, &b).await.c_chunk
         })
     };
     let clean = run(None);

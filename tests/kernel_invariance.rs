@@ -30,9 +30,9 @@ fn run_with(kernel: Kernel) -> WorldResult<Alg1Output> {
     let cfg =
         Alg1Config { dims, grid: Grid3::new(2, 3, 2), kernel, assembly: Assembly::ReduceScatter };
     World::new(12, MachineParams::BANDWIDTH_ONLY).with_seed(0xBEEF).with_trace(true).run(
-        move |rank| {
+        async move |rank| {
             let (a, b) = inputs(dims);
-            alg1(rank, &cfg, &a, &b)
+            alg1_a(rank, &cfg, &a, &b).await
         },
     )
 }

@@ -1,11 +1,9 @@
 //! Large-`P` scale conformance: Algorithm 1 *executed* (not predicted)
-//! at P = 10^4 … 10^6 on the event-loop engine.
+//! at P = 10^4 … 10^6.
 //!
-//! The paper's Fig. 1/Fig. 2 story spans `P` up to 10^6; with the
-//! thread backend anything past a few hundred ranks was out of reach,
-//! so the tight eq. (3) constants were never checked where the three
-//! regimes actually separate. These tests run Algorithm 1 end-to-end
-//! on `Engine::EventLoop` at scale, on **integral §5.2 optimal grids**
+//! The paper's Fig. 1/Fig. 2 story spans `P` up to 10^6, where the three
+//! regimes actually separate. These tests run Algorithm 1 end-to-end at
+//! scale, on **integral §5.2 optimal grids**
 //! (`best_grid` returns exactly the grid we pin, and it divides the
 //! dimensions), and hold the *measured* per-rank, per-phase traffic to
 //! the `pmm_model::alg1_prediction` eq. (3) terms exactly.
@@ -13,7 +11,7 @@
 //! Executed-path guarantees (no closed-form fallback): every rank
 //! returns a real `Alg1Output` with per-phase meters from the run, the
 //! world reports `P` per-rank meter/clock entries, and the verifier is
-//! live throughout (it is part of the fabric on every engine).
+//! live throughout (it is part of the fabric).
 //!
 //! Each test prints a `SCALE: key=value ...` line; `cargo xtask
 //! scale-check` runs the `#[ignore]`d large cells in release mode and
@@ -37,7 +35,7 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Execute Algorithm 1 at `p` ranks on the event-loop engine and check
+/// Execute Algorithm 1 at `p` ranks and check
 /// eq. (3) attribution. `exact` additionally pins every rank's
 /// per-phase duplex words to the prediction (requires evenly-chunked
 /// fiber collectives); aggregate per-phase traffic is checked always.
@@ -58,28 +56,16 @@ fn scale_point(label: &str, dims: MatMulDims, grid_arr: [usize; 3], exact: bool,
         kernel: Kernel::Naive,
         assembly: Assembly::ReduceScatter,
     };
-    // Inputs are generated once and shared (`Arc`) across all P rank
-    // programs, keeping input setup O(n1·n2 + n2·n3) rather than
-    // O(P · matrix size).
-    let (a, b) = (
-        std::sync::Arc::new(random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11)),
-        std::sync::Arc::new(random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22)),
-    );
-    // Schedule recording snapshots the runnable set per pick (O(P) per
-    // event) — off at scale; targeted wakeup keeps the runnable-set
-    // bookkeeping proportional to the active ranks.
-    let world = World::new(p, MachineParams::BANDWIDTH_ONLY)
-        .with_engine(Engine::EventLoop)
-        .with_schedule_recording(false)
-        .with_targeted_wakeup(true)
-        .with_trace(trace)
-        .without_watchdog();
+    // Inputs are generated once and shared by all P rank programs,
+    // keeping input setup O(n1·n2 + n2·n3) rather than O(P · matrix size).
+    let a = random_int_matrix(dims.n1 as usize, dims.n2 as usize, -3..4, 11);
+    let b = random_int_matrix(dims.n2 as usize, dims.n3 as usize, -3..4, 22);
+    // A world without a schedule records nothing (the runnable-set
+    // snapshot is O(P) per pick) and wakes blocked ranks by target,
+    // keeping scheduler bookkeeping proportional to the active ranks.
+    let world = World::new(p, MachineParams::BANDWIDTH_ONLY).with_trace(trace);
     let t0 = Instant::now();
-    let out = world.run_async(|rank| {
-        let cfg = cfg.clone();
-        let (a, b) = (a.clone(), b.clone());
-        Box::pin(async move { alg1_a(rank, &cfg, &a, &b).await })
-    });
+    let out = world.run(async |rank| alg1_a(rank, &cfg, &a, &b).await);
     let secs = t0.elapsed().as_secs_f64();
 
     // Executed, not predicted: P live per-rank reports with real

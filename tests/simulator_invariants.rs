@@ -11,10 +11,10 @@ fn words_sent_equals_words_received_globally() {
     let dims = MatMulDims::new(24, 18, 12);
     let grid = Grid3::new(2, 3, 2);
     let cfg = Alg1Config::new(dims, grid);
-    let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+    let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
         let a = random_int_matrix(24, 18, -2..3, 1);
         let b = random_int_matrix(18, 12, -2..3, 2);
-        alg1(rank, &cfg, &a, &b);
+        alg1_a(rank, &cfg, &a, &b).await;
     });
     let sent: u64 = out.reports.iter().map(|r| r.meter.words_sent).sum();
     let recv: u64 = out.reports.iter().map(|r| r.meter.words_recv).sum();
@@ -31,10 +31,10 @@ fn clock_and_meters_are_deterministic_across_runs() {
         let dims = MatMulDims::new(20, 16, 12);
         let grid = Grid3::new(2, 2, 2);
         let cfg = Alg1Config::new(dims, grid);
-        let out = World::new(8, MachineParams::TYPICAL_CLUSTER).run(move |rank| {
+        let out = World::new(8, MachineParams::TYPICAL_CLUSTER).run(async move |rank| {
             let a = random_int_matrix(20, 16, -2..3, 5);
             let b = random_int_matrix(16, 12, -2..3, 6);
-            alg1(rank, &cfg, &a, &b);
+            alg1_a(rank, &cfg, &a, &b).await;
             (rank.time(), rank.meter())
         });
         out.values
@@ -54,14 +54,16 @@ fn collectives_compose_on_grid_fibers() {
     // Within each fiber of a 3x2x2 grid, all-reduce over row-fibers then
     // broadcast over column-fibers — data arrives intact everywhere.
     let grid = Grid3::new(3, 2, 2);
-    let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+    let out = World::new(12, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
         let world = rank.world_comm();
         let coord = grid.coord_of(rank.world_rank());
-        let axis0 = rank.split(&world, grid.fiber_color(coord, 0) as i64, coord[0] as i64).unwrap();
-        let sum = all_reduce(rank, &axis0, &[coord[0] as f64 + 1.0], AllReduceAlgo::Auto);
+        let axis0 =
+            rank.split_a(&world, grid.fiber_color(coord, 0) as i64, coord[0] as i64).await.unwrap();
+        let sum = all_reduce_a(rank, &axis0, &[coord[0] as f64 + 1.0], AllReduceAlgo::Auto).await;
         // fiber along axis 0 has coords {0,1,2} → sum = 6.
-        let axis2 = rank.split(&world, grid.fiber_color(coord, 2) as i64, coord[2] as i64).unwrap();
-        let got = bcast(rank, &axis2, &sum, 0, BcastAlgo::Binomial);
+        let axis2 =
+            rank.split_a(&world, grid.fiber_color(coord, 2) as i64, coord[2] as i64).await.unwrap();
+        let got = bcast_a(rank, &axis2, &sum, 0, BcastAlgo::Binomial).await;
         got[0]
     });
     assert!(out.values.iter().all(|&v| v == 6.0));
@@ -76,16 +78,16 @@ proptest! {
         w in 1usize..20,
         seed in 0u64..1000,
     ) {
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let mine: Vec<f64> = (0..w)
                 .map(|e| ((rank.world_rank() as u64 * 31 + e as u64 + seed) % 17) as f64)
                 .collect();
-            let gathered = all_gather(rank, &comm, &mine, AllGatherAlgo::Auto);
+            let gathered = all_gather_a(rank, &comm, &mine, AllGatherAlgo::Auto).await;
             let local: Vec<f64> = (0..w)
                 .map(|e| (0..p).map(|r| gathered[r * w + e]).sum())
                 .collect();
-            let ar = all_reduce(rank, &comm, &mine, AllReduceAlgo::Auto);
+            let ar = all_reduce_a(rank, &comm, &mine, AllReduceAlgo::Auto).await;
             (local, ar)
         });
         for (local, ar) in &out.values {
@@ -99,11 +101,11 @@ proptest! {
         wper in 1usize..8,
     ) {
         let w = p * wper;
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
             let mine: Vec<f64> = (0..w).map(|e| (rank.world_rank() * w + e) as f64).collect();
-            let seg = reduce_scatter(rank, &comm, &mine, ReduceScatterAlgo::Auto);
-            let full = all_reduce(rank, &comm, &mine, AllReduceAlgo::Auto);
+            let seg = reduce_scatter_a(rank, &comm, &mine, ReduceScatterAlgo::Auto).await;
+            let full = all_reduce_a(rank, &comm, &mine, AllReduceAlgo::Auto).await;
             (seg, full)
         });
         for (r, (seg, full)) in out.values.iter().enumerate() {
@@ -118,9 +120,9 @@ proptest! {
     ) {
         // All-gather of w words per rank must move exactly (p−1)·w per rank
         // regardless of values.
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let comm = rank.world_comm();
-            all_gather(rank, &comm, &vec![0.5; w], AllGatherAlgo::Ring);
+            all_gather_a(rank, &comm, &vec![0.5; w], AllGatherAlgo::Ring).await;
             rank.meter().words_sent
         });
         for &sent in &out.values {

@@ -11,10 +11,10 @@ fn measure(dims: MatMulDims, grid: [usize; 3]) -> f64 {
     let cfg =
         Alg1Config { dims, grid: g, kernel: Kernel::Naive, assembly: Assembly::ReduceScatter };
     let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
-    let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+    let out = World::new(g.size(), MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
         let a = random_int_matrix(n1, n2, -2..3, 1);
         let b = random_int_matrix(n2, n3, -2..3, 2);
-        alg1(rank, &cfg, &a, &b);
+        alg1_a(rank, &cfg, &a, &b).await;
     });
     out.critical_path_time()
 }

@@ -75,9 +75,9 @@ fn traced_run(
     let g = Grid3::from_dims(grid);
     let cfg = Alg1Config::new(dims, g);
     World::new(g.size(), MachineParams::BANDWIDTH_ONLY).with_seed(seed).with_trace(true).run(
-        move |rank| {
+        async move |rank| {
             let (a, b) = inputs(dims);
-            alg1(rank, &cfg, &a, &b)
+            alg1_a(rank, &cfg, &a, &b).await
         },
     )
 }

@@ -17,9 +17,9 @@ fn streamed_alg1_is_tight_too() {
     let dims = MatMulDims::new(768, 192, 48);
     let p = 36usize;
     let grid = best_grid(dims, p).grid3();
-    let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+    let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
         let (a, b) = inputs(dims);
-        alg1_streamed(rank, dims, grid, 4, Kernel::Naive, &a, &b)
+        alg1_streamed_a(rank, dims, grid, 4, Kernel::Naive, &a, &b).await
     });
     let bound = lower_bound(dims, p as f64).bound;
     let measured = out.critical_path_time();
@@ -41,11 +41,11 @@ fn carma_is_tight_on_pow2_square_instances() {
     // enables.
     for (n, p) in [(64u64, 8usize), (64, 64), (128, 512)] {
         let dims = MatMulDims::square(n);
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let (a, b) = inputs(dims);
             let (sa, sb) = carma_shares(p, rank.world_rank(), &a, &b);
             let comm = rank.world_comm();
-            carma(rank, &comm, dims, Kernel::Naive, sa, sb)
+            carma_a(rank, &comm, dims, Kernel::Naive, sa, sb).await
         });
         let bound = corollary4(n, p as f64);
         let measured = out.critical_path_time();
@@ -68,9 +68,9 @@ fn advisor_prediction_matches_execution_for_the_winner() {
     let best = recs.first().expect("at least one strategy");
     if let AdvisorStrategy::Alg1 { grid } = best.strategy {
         let cfg = Alg1Config::new(dims, Grid3::from_dims(grid));
-        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(p, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let (a, b) = inputs(dims);
-            alg1(rank, &cfg, &a, &b);
+            alg1_a(rank, &cfg, &a, &b).await;
         });
         let measured = out.critical_path_time();
         assert!(
@@ -90,9 +90,9 @@ fn streamed_variant_trades_latency_for_memory_monotonically() {
     let mut prev_msgs = 0u64;
     let mut prev_peak = u64::MAX;
     for slabs in [1usize, 2, 4, 8] {
-        let out = World::new(8, MachineParams::BANDWIDTH_ONLY).run(move |rank| {
+        let out = World::new(8, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let (a, b) = inputs(dims);
-            alg1_streamed(rank, dims, grid, slabs, Kernel::Naive, &a, &b)
+            alg1_streamed_a(rank, dims, grid, slabs, Kernel::Naive, &a, &b).await
         });
         let msgs = out.reports[0].meter.msgs_sent;
         let peak = out.max_peak_mem_words();
