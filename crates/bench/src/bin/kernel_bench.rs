@@ -1,13 +1,13 @@
-//! **E14 — local kernels + calibration**: measure every local GEMM tier,
+//! **E14 — local kernels + calibration**: measure every local GEMM kernel,
 //! fit the machine calibration, and validate that the calibrated α-β-γ
 //! model predicts simulated Algorithm 1 wall-clock within tolerance.
 //!
 //! Three sections, each emitted as `KERNELS:` marker lines that
 //! `cargo xtask kernel-bench` parses into `BENCH_kernels.json`:
 //!
-//! 1. **kernel table** — GFLOP/s per kernel tier × size (standard
-//!    `2mnk` flop convention), plus the bitwise cross-tier identity
-//!    check at each size;
+//! 1. **kernel table** — GFLOP/s per kernel × size (standard `2mnk`
+//!    flop convention), plus the bitwise cross-kernel identity check at
+//!    each size;
 //! 2. **calibration** — the fitted α, β, γ, `rank_secs` and the stream
 //!    bandwidth diagnostic (see `pmm_bench::calibrate`);
 //! 3. **validation cells** — one per Theorem 3 regime: fit the
@@ -33,8 +33,8 @@ use pmm_bench::{print_table, Checks};
 use pmm_dense::{gemm, random_matrix, Kernel};
 use pmm_model::{MachineCalibration, MatMulDims};
 
-/// Sizes for the per-kernel GFLOP/s table. The largest is the
-/// acceptance size (5× criterion).
+/// Sizes for the per-kernel GFLOP/s table. The largest is where the
+/// 5×-naive check applies.
 const SIZES: [usize; 3] = [256, 512, 1024];
 
 /// One Theorem 3 regime cell: a half-scale probe problem that fits the

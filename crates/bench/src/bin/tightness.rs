@@ -30,7 +30,7 @@ fn measure(dims: MatMulDims, grid: [usize; 3], checks: &mut Checks) -> f64 {
     // Verify numerical correctness too — tight *and* right.
     let a = random_int_matrix(n1, n2, -2..3, 7);
     let b = random_int_matrix(n2, n3, -2..3, 8);
-    let want = gemm(&a, &b, Kernel::Tiled);
+    let want = gemm(&a, &b, Kernel::Naive);
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
     checks.check(
         format!("{dims} grid {grid:?}: product correct"),

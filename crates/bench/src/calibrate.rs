@@ -233,9 +233,9 @@ pub fn fit_word_secs(cal: &MachineCalibration, probe: &CellRun) -> f64 {
 /// Run every probe under roughly `budget_secs` of wall clock and fit a
 /// [`MachineCalibration`].
 ///
-/// `kernel` selects the GEMM tier that γ describes — pass the same
-/// kernel the runs you want to predict will use (normally
-/// `pmm_dense::kernel_from_env(Kernel::default())`). The budget steers
+/// `kernel` selects the GEMM kernel that γ describes — pass the same
+/// kernel the runs you want to predict will use (normally the one
+/// `pmm_dense::kernel_from_env(Kernel::default())` returns). The budget steers
 /// the ping-pong round counts; the other probes are cheap and fixed.
 pub fn calibrate(budget_secs: f64, kernel: Kernel) -> CalibrationReport {
     let budget = budget_secs.clamp(0.5, 120.0);

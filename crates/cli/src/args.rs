@@ -203,8 +203,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
         return Ok(Command::Help);
     };
     let rest = &args[1..];
+    // `--help`/`-h` anywhere means help, before any flag parser reads it
+    // as a flag missing its value.
+    if cmd == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(Command::Help);
+    }
     match cmd.as_str() {
-        "help" | "-h" | "--help" => Ok(Command::Help),
         "bound" => {
             let flags = Flags::parse(rest)?;
             flags.reject_unknown(&["dims", "procs", "memory"])?;
@@ -295,7 +299,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ParseError> {
             }
             Ok(Command::Sweep { dims: parse_dims(flags.require("dims")?)?, procs })
         }
-        "serve" if rest.iter().any(|a| a == "--help" || a == "-h") => Ok(Command::Help),
         "serve" => {
             // `--oneshot` is the one valueless flag in the CLI; strip it
             // before the pairwise flag parser sees the rest.
@@ -572,6 +575,8 @@ mod tests {
     fn help_variants() {
         assert_eq!(parse_args(&argv("help")).unwrap(), Command::Help);
         assert_eq!(parse_args(&argv("--help")).unwrap(), Command::Help);
+        assert_eq!(parse_args(&argv("-h")).unwrap(), Command::Help);
+        assert_eq!(parse_args(&argv("help bound")).unwrap(), Command::Help);
         assert_eq!(parse_args(&[]).unwrap(), Command::Help);
     }
 
@@ -608,9 +613,14 @@ mod tests {
 
     #[test]
     fn serve_help_prints_help() {
-        assert_eq!(parse_args(&argv("serve --help")).unwrap(), Command::Help);
-        assert_eq!(parse_args(&argv("serve -h")).unwrap(), Command::Help);
+        for cmd in ["bound", "grid", "advise", "simulate", "trace", "sweep", "calibrate", "serve"] {
+            for flag in ["--help", "-h"] {
+                let got = parse_args(&argv(&format!("{cmd} {flag}")));
+                assert_eq!(got.unwrap(), Command::Help, "{cmd} {flag}");
+            }
+        }
         assert_eq!(parse_args(&argv("serve --port 7070 --help")).unwrap(), Command::Help);
+        assert_eq!(parse_args(&argv("simulate --dims 8x8x8 -h")).unwrap(), Command::Help);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use pmm_core::advisor::{recommend, Strategy};
 use pmm_core::gridopt::{alg1_cost_words, best_grid, continuous_grid};
 use pmm_core::memlimit::{limited_memory_report, min_memory_words, Dominant};
 use pmm_core::theorem3::lower_bound;
-use pmm_dense::{gemm, kernel_from_env, random_int_matrix, Kernel};
+use pmm_dense::{gemm, random_int_matrix, Kernel};
 use pmm_model::{alg1_prediction, recovery_prediction, Grid3, MachineParams, MatMulDims};
 use pmm_serve::ServeConfig;
 use pmm_simnet::{seed_from_env, FaultPlan, World};
@@ -133,15 +133,16 @@ pub fn advise(
     out
 }
 
-/// `pmm simulate` (fault-free form): output only, for callers that don't
-/// care about the process exit code.
+/// `pmm simulate` (fault-free form, default kernel): output only, for
+/// callers that don't care about the process exit code.
 pub fn simulate(dims: MatMulDims, procs: usize, grid: Option<[usize; 3]>, seed: u64) -> String {
-    simulate_run(dims, procs, grid, seed, None).0
+    simulate_run(dims, procs, grid, seed, None, Kernel::default()).0
 }
 
 /// `pmm simulate`, full form: returns the report and the process exit
 /// code (`0` = product verified, `1` = wrong product or a fault the run
-/// could not recover from).
+/// could not recover from). `kernel` computes the reference product and,
+/// under faults, the recovering run's local products.
 ///
 /// # Panics
 ///
@@ -153,10 +154,11 @@ pub fn simulate_run(
     grid: Option<[usize; 3]>,
     seed: u64,
     faults: Option<FaultPlan>,
+    kernel: Kernel,
 ) -> (String, u8) {
     match faults {
-        None => simulate_clean(dims, procs, grid, seed),
-        Some(plan) => simulate_faulty(dims, procs, seed, plan),
+        None => simulate_clean(dims, procs, grid, seed, kernel),
+        Some(plan) => simulate_faulty(dims, procs, seed, plan, kernel),
     }
 }
 
@@ -165,6 +167,7 @@ fn simulate_clean(
     procs: usize,
     grid: Option<[usize; 3]>,
     seed: u64,
+    kernel: Kernel,
 ) -> (String, u8) {
     let grid = grid.unwrap_or_else(|| best_grid(dims, procs).grid);
     let g = Grid3::from_dims(grid);
@@ -182,7 +185,7 @@ fn simulate_clean(
         });
     let a = random_int_matrix(n1, n2, -3..4, seed);
     let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-    let want = gemm(&a, &b, kernel_from_env(Kernel::default()));
+    let want = gemm(&a, &b, kernel);
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
     let correct = assemble_c(dims, g, &chunks) == want;
 
@@ -205,7 +208,13 @@ fn simulate_clean(
     (s, u8::from(!correct))
 }
 
-fn simulate_faulty(dims: MatMulDims, procs: usize, seed: u64, plan: FaultPlan) -> (String, u8) {
+fn simulate_faulty(
+    dims: MatMulDims,
+    procs: usize,
+    seed: u64,
+    plan: FaultPlan,
+    kernel: Kernel,
+) -> (String, u8) {
     let (n1, n2, n3) = (dims.n1 as usize, dims.n2 as usize, dims.n3 as usize);
     let sched_seed = seed_from_env(seed);
     // Recovery re-picks the §5.2 grid per attempt from the survivor
@@ -219,10 +228,7 @@ fn simulate_faulty(dims: MatMulDims, procs: usize, seed: u64, plan: FaultPlan) -
         world.run(async |rank| {
             let a = random_int_matrix(n1, n2, -3..4, seed);
             let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-            let spec = Recoverable::Alg1 {
-                kernel: kernel_from_env(Kernel::default()),
-                assembly: Assembly::ReduceScatter,
-            };
+            let spec = Recoverable::Alg1 { kernel, assembly: Assembly::ReduceScatter };
             run_recoverable_a(rank, &spec, dims, &a, &b).await
         })
     }));
@@ -267,8 +273,7 @@ fn simulate_faulty(dims: MatMulDims, procs: usize, seed: u64, plan: FaultPlan) -
         .collect();
     let a = random_int_matrix(n1, n2, -3..4, seed);
     let b = random_int_matrix(n2, n3, -3..4, seed + 1);
-    let correct = assemble_recovered(dims, &plan_used, &shares)
-        == gemm(&a, &b, kernel_from_env(Kernel::default()));
+    let correct = assemble_recovered(dims, &plan_used, &shares) == gemm(&a, &b, kernel);
     let _ = writeln!(s, "product      : {}", if correct { "correct ✓" } else { "WRONG ✗" });
     let pred = recovery_prediction(dims, &ok.attempt_plans, &ok.attempt_survivors);
     let goodput = out.reports[survivors[0]].meter.words_sent;
@@ -289,6 +294,7 @@ fn simulate_faulty(dims: MatMulDims, procs: usize, seed: u64, plan: FaultPlan) -
 /// `pmm trace`: run Algorithm 1 with structured tracing on, report the
 /// per-phase cost attribution against eq. (3) and the critical-path
 /// breakdown, and (with `--out`) write the Chrome trace_event JSON.
+/// `kernel` computes the reference product.
 ///
 /// Exit code: `0` = product verified and (if requested) the trace file
 /// written; `1` = wrong product or the trace file could not be written.
@@ -303,6 +309,7 @@ pub fn trace(
     grid: Option<[usize; 3]>,
     seed: u64,
     out_path: Option<&str>,
+    kernel: Kernel,
 ) -> (String, u8) {
     let grid = grid.unwrap_or_else(|| best_grid(dims, procs).grid);
     let g = Grid3::from_dims(grid);
@@ -321,7 +328,7 @@ pub fn trace(
     let a = random_int_matrix(n1, n2, -3..4, seed);
     let b = random_int_matrix(n2, n3, -3..4, seed + 1);
     let chunks: Vec<_> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
-    let correct = assemble_c(dims, g, &chunks) == gemm(&a, &b, kernel_from_env(Kernel::default()));
+    let correct = assemble_c(dims, g, &chunks) == gemm(&a, &b, kernel);
 
     let tracer = out.tracer().expect("tracing was enabled");
     let pred = alg1_prediction(dims, grid);
@@ -460,11 +467,10 @@ pub fn serve(opts: &ServeOpts) -> u8 {
 /// `pmm calibrate`: measure this host's α, β, γ and per-run setup cost
 /// from the in-process probes (see `pmm_bench::calibrate` and
 /// `docs/PERFORMANCE.md`), print the fitted constants, and optionally
-/// write them as calibration JSON.
+/// write them as calibration JSON. γ is fitted for `kernel`.
 ///
 /// Exit code: `0` on success, `1` if `--out` could not be written.
-pub fn calibrate(budget_secs: f64, out_path: Option<&str>) -> (String, u8) {
-    let kernel = kernel_from_env(Kernel::default());
+pub fn calibrate(budget_secs: f64, out_path: Option<&str>, kernel: Kernel) -> (String, u8) {
     let report = run_probes(budget_secs, kernel);
     let cal = report.cal;
     let mut s = String::new();
@@ -520,7 +526,7 @@ mod tests {
     #[test]
     fn calibrate_reports_constants_and_writes_json() {
         let path = std::env::temp_dir().join("pmm_cli_calibrate_test.json");
-        let (s, code) = calibrate(0.5, path.to_str());
+        let (s, code) = calibrate(0.5, path.to_str(), Kernel::default());
         assert_eq!(code, 0, "output was: {s}");
         assert!(s.contains("alpha"), "output was: {s}");
         assert!(s.contains("gamma"), "output was: {s}");
@@ -530,7 +536,7 @@ mod tests {
         assert!(parsed.gamma > 0.0);
         let _ = std::fs::remove_file(&path);
         // An unwritable path is a reported failure, not a panic.
-        let (s, code) = calibrate(0.5, Some("/nonexistent-dir/c.json"));
+        let (s, code) = calibrate(0.5, Some("/nonexistent-dir/c.json"), Kernel::default());
         assert_eq!(code, 1, "output was: {s}");
     }
 
@@ -565,7 +571,7 @@ mod tests {
     fn trace_attributes_phases_exactly_on_the_optimal_grid() {
         // §5.2 optimal grid for this instance divides the dims, so the
         // measured per-phase words must equal eq. (3) exactly.
-        let (s, code) = trace(MatMulDims::new(96, 24, 12), 8, None, 3, None);
+        let (s, code) = trace(MatMulDims::new(96, 24, 12), 8, None, 3, None, Kernel::default());
         assert_eq!(code, 0, "output was: {s}");
         assert!(s.contains("correct ✓"), "output was: {s}");
         assert!(s.contains("all phases match the prediction exactly"), "output was: {s}");

@@ -105,6 +105,25 @@ fn bad_faults_spec_exits_two() {
 }
 
 #[test]
+fn bad_pmm_kernel_exits_two() {
+    let simulate = |kernel: &str| {
+        Command::new(env!("CARGO_BIN_EXE_pmm"))
+            .args(["simulate", "--dims", "8x8x8", "--procs", "2"])
+            .env("PMM_KERNEL", kernel)
+            .output()
+            .expect("pmm binary runs")
+    };
+    for kernel in ["parallel", "tiled", "fused"] {
+        let out = simulate(kernel);
+        assert_eq!(out.status.code(), Some(2), "PMM_KERNEL={kernel} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains("PMM_KERNEL") && err.contains("naive|blocked|auto"), "{err}");
+    }
+    let out = simulate("blocked");
+    assert!(out.status.success(), "PMM_KERNEL=blocked: {}", stdout(&out));
+}
+
+#[test]
 fn help_covers_every_command_and_exits_zero() {
     let out = pmm(&["help"]);
     assert!(out.status.success());

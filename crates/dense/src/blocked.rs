@@ -17,7 +17,7 @@
 //! Edge tiles are zero-padded at pack time, so the microkernel is the
 //! only compute path; padded lanes are discarded at store time.
 //!
-//! **Bitwise contract** (shared by every tier, see
+//! **Bitwise contract** (shared with the naive oracle, see
 //! [`kernels`](crate::kernels)): the microkernel loads the live `C` tile
 //! into its accumulators before the `k` loop and stores it back after,
 //! and the `pc` loop visits `k` slabs in increasing order — so each
@@ -52,9 +52,7 @@ const NC: usize = 2048;
 /// `C += A·B` on raw row-major slices: `c` is `m × n`, `a` is `m × k`,
 /// `b` is `k × n`, all densely packed (row stride = column count).
 ///
-/// This is the engine behind [`Kernel::Blocked`](crate::Kernel::Blocked)
-/// and the per-stripe worker of
-/// [`Kernel::Parallel`](crate::Kernel::Parallel).
+/// This is the engine behind [`Kernel::Blocked`](crate::Kernel::Blocked).
 pub(crate) fn gemm_blocked(c: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
     debug_assert_eq!(c.len(), m * n);
     debug_assert_eq!(a.len(), m * k);

@@ -1,41 +1,33 @@
-//! Local matmul kernels: the tiered dispatch.
+//! Local matmul kernels: the oracle and the fast path.
 //!
 //! These perform the per-processor computation of every parallel algorithm
-//! (line 6 of Algorithm 1). The tiers, from pinned oracle to fastest:
+//! (line 6 of Algorithm 1). Two kernels, plus a selector:
 //!
 //! * [`Kernel::Naive`] — textbook `i-k-j` triple loop (the `k` middle loop
 //!   keeps the inner loop streaming over contiguous rows of `B` and `C`).
-//!   This is the **pinned oracle**: every other tier must produce a
+//!   This is the **pinned oracle**: the fast kernel must produce a
 //!   bitwise-identical product (see below).
-//! * [`Kernel::Tiled`] — cache-blocked over all three loops (64×64 tiles).
 //! * [`Kernel::Blocked`] — packed-panel GEMM with a register-tiled,
 //!   autovectorizable microkernel (BLIS-style `jc`/`pc`/`ic`/`jr`/`ir`
-//!   loop nest in the `blocked` module). The fast tier.
-//! * [`Kernel::Recursive`] — cache-oblivious recursive splitting of the
-//!   largest dimension down to a small base case (the `recursive`
-//!   module).
-//! * [`Kernel::Parallel`] — the blocked kernel with row stripes
-//!   parallelized via Rayon (shared-memory, *within* one simulated rank;
-//!   does not touch the communication accounting).
+//!   loop nest in the `blocked` module). The fast kernel.
 //! * [`Kernel::Auto`] — runtime selection by problem volume: `Naive` for
-//!   tiny products, `Tiled` for small ones, `Blocked` beyond
-//!   [`AUTO_BLOCKED_MIN_FLOPS`].
+//!   tiny products, `Blocked` from [`AUTO_BLOCKED_MIN_FLOPS`] up.
 //!
-//! # Bitwise identity across tiers
+//! # Bitwise identity across kernels
 //!
-//! Every tier accumulates each output element `C[i][j]` over the
+//! Both kernels accumulate each output element `C[i][j]` over the
 //! contracted index `k` in **strictly increasing order**, one
-//! `mul`-then-`add` per term, with no FMA contraction and no private
-//! re-associated partial sums (the blocked microkernel loads the live `C`
-//! tile into its accumulator registers before the `k` loop and stores it
-//! back after). IEEE-754 arithmetic is deterministic, so all tiers
-//! produce **bitwise-identical** products for arbitrary `f64` inputs —
-//! not merely for the exact integer matrices used by the conformance
-//! tests. `tests/proptests.rs` pins this on fractional inputs and the
-//! kernel-invariance suite pins that tier choice never alters simulator
+//! multiply-add per term, with no private re-associated partial sums
+//! (the blocked microkernel loads the live `C` tile into its accumulator
+//! registers before the `k` loop and stores it back after). IEEE-754
+//! arithmetic is deterministic, so every [`Kernel`] produces
+//! **bitwise-identical** products for arbitrary `f64` inputs — not merely
+//! for the exact integer matrices used by the conformance tests.
+//! `tests/proptests.rs` pins this on fractional inputs and the
+//! kernel-invariance suite pins that kernel choice never alters simulator
 //! meters or traces.
 //!
-//! # Selecting a tier
+//! # Selecting a kernel
 //!
 //! Algorithm configs carry a `Kernel`; the CLI resolves the default from
 //! the [`KERNEL_ENV`] (`PMM_KERNEL`) environment variable via
@@ -47,54 +39,37 @@
 //! let a = random_matrix(33, 65, 1); // fractional entries
 //! let b = random_matrix(65, 17, 2);
 //! let oracle = gemm(&a, &b, Kernel::Naive);
-//! for tier in Kernel::ALL {
-//!     assert_eq!(gemm(&a, &b, tier), oracle); // bitwise, not approximate
+//! for kernel in Kernel::ALL {
+//!     assert_eq!(gemm(&a, &b, kernel), oracle); // bitwise, not approximate
 //! }
 //! assert_eq!("blocked".parse::<Kernel>(), Ok(Kernel::Blocked));
-//! assert_eq!(Kernel::Recursive.to_string(), "recursive");
+//! assert_eq!(Kernel::Auto.to_string(), "auto");
 //! ```
 
 use std::fmt;
 use std::str::FromStr;
 
-use rayon::prelude::*;
-
 use crate::blocked::gemm_blocked;
 use crate::matrix::Matrix;
-use crate::recursive::gemm_recursive;
 
-/// Tile edge (in elements) for the [`Kernel::Tiled`] kernel; 64×64 f64
-/// tiles ≈ 32 KiB per operand, a reasonable L1/L2 compromise.
-const TILE: usize = 64;
+/// [`Kernel::Auto`] switches from `Naive` to `Blocked` (which pays two
+/// pack-buffer allocations per call) at this many multiply-adds
+/// (`m·k·n`).
+pub const AUTO_BLOCKED_MIN_FLOPS: usize = 32 * 32 * 32;
 
-/// Row-stripe height (in rows of `C`) handed to each Rayon worker by
-/// [`Kernel::Parallel`]. Matches the blocked kernel's `MC` so each stripe
-/// is exactly one packed row panel.
-const STRIPE: usize = 128;
-
-/// [`Kernel::Auto`] switches from `Naive` to `Tiled` at this many
-/// multiply-adds (`m·k·n`)…
-pub const AUTO_TILED_MIN_FLOPS: usize = 32 * 32 * 32;
-
-/// …and from `Tiled` to `Blocked` (which pays two pack-buffer
-/// allocations per call) at this many.
-pub const AUTO_BLOCKED_MIN_FLOPS: usize = 96 * 96 * 96;
-
-/// Environment variable selecting the default kernel tier
-/// (`naive | tiled | blocked | recursive | parallel | auto`), consulted
-/// by [`kernel_from_env`]. An explicit `Kernel` in an algorithm config
-/// always wins.
+/// Environment variable selecting the default kernel
+/// (`naive | blocked | auto`), consulted by [`kernel_from_env`]. An
+/// explicit `Kernel` in an algorithm config always wins.
 pub const KERNEL_ENV: &str = "PMM_KERNEL";
 
-/// The one multiply-add every kernel tier (and the view kernel) uses per
-/// accumulated term. On targets with hardware FMA it compiles to a single
-/// fused `vfmadd` (one rounding); elsewhere it is a plain IEEE
-/// `mul`-then-`add` (two roundings) — `f64::mul_add` without hardware
-/// support would fall back to a slow soft-float routine, so the `cfg!`
-/// (resolved at compile time) keeps that path out. Because every tier
-/// funnels through this helper, products stay bitwise identical across
-/// tiers on *any* build; the exact bits depend on the build target's FMA
-/// capability.
+/// The one multiply-add both kernels use per accumulated term. On
+/// targets with hardware FMA it compiles to a single fused `vfmadd` (one
+/// rounding); elsewhere it is a plain IEEE `mul`-then-`add` (two
+/// roundings) — `f64::mul_add` without hardware support would fall back
+/// to a slow soft-float routine, so the `cfg!` (resolved at compile time)
+/// keeps that path out. Because both kernels funnel through this helper,
+/// products stay bitwise identical across kernels on *any* build; the
+/// exact bits depend on the build target's FMA capability.
 #[inline(always)]
 pub(crate) fn madd(a: f64, b: f64, c: f64) -> f64 {
     if cfg!(target_feature = "fma") {
@@ -104,46 +79,31 @@ pub(crate) fn madd(a: f64, b: f64, c: f64) -> f64 {
     }
 }
 
-/// Kernel selector. See the [module docs](self) for the tier guarantees.
+/// Kernel selector. See the [module docs](self) for the guarantees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Kernel {
     /// Triple loop, `i-k-j` order — the pinned oracle.
     Naive,
-    /// Cache-tiled triple loop.
-    Tiled,
-    /// Packed-panel microkernel GEMM (the fast tier).
+    /// Packed-panel microkernel GEMM (the fast kernel).
     Blocked,
-    /// Cache-oblivious recursive splitting.
-    Recursive,
-    /// Blocked with Rayon row-stripe parallelism.
-    Parallel,
-    /// Pick `Naive`/`Tiled`/`Blocked` from the problem volume at run
-    /// time.
+    /// Pick `Naive` or `Blocked` from the problem volume at run time.
     #[default]
     Auto,
 }
 
 impl Kernel {
-    /// Every selectable tier, oracle first (handy for sweeps and
+    /// Every selectable kernel, oracle first (handy for sweeps and
     /// conformance loops).
-    pub const ALL: [Kernel; 6] = [
-        Kernel::Naive,
-        Kernel::Tiled,
-        Kernel::Blocked,
-        Kernel::Recursive,
-        Kernel::Parallel,
-        Kernel::Auto,
-    ];
+    pub const ALL: [Kernel; 3] = [Kernel::Naive, Kernel::Blocked, Kernel::Auto];
 
-    /// The concrete tier `Auto` resolves to for an `m·k·n`-flop product.
+    /// The concrete kernel `Auto` resolves to for an `m·k·n`-flop
+    /// product.
     pub fn resolve(self, m: usize, k: usize, n: usize) -> Kernel {
         match self {
             Kernel::Auto => {
                 let flops = m.saturating_mul(k).saturating_mul(n);
-                if flops < AUTO_TILED_MIN_FLOPS {
+                if flops < AUTO_BLOCKED_MIN_FLOPS {
                     Kernel::Naive
-                } else if flops < AUTO_BLOCKED_MIN_FLOPS {
-                    Kernel::Tiled
                 } else {
                     Kernel::Blocked
                 }
@@ -157,10 +117,7 @@ impl fmt::Display for Kernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Kernel::Naive => "naive",
-            Kernel::Tiled => "tiled",
             Kernel::Blocked => "blocked",
-            Kernel::Recursive => "recursive",
-            Kernel::Parallel => "parallel",
             Kernel::Auto => "auto",
         })
     }
@@ -172,26 +129,23 @@ impl FromStr for Kernel {
     fn from_str(s: &str) -> Result<Kernel, String> {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Ok(Kernel::Naive),
-            "tiled" => Ok(Kernel::Tiled),
-            "blocked" | "micro" | "microkernel" => Ok(Kernel::Blocked),
-            "recursive" | "oblivious" => Ok(Kernel::Recursive),
-            "parallel" | "rayon" => Ok(Kernel::Parallel),
+            "blocked" => Ok(Kernel::Blocked),
             "auto" => Ok(Kernel::Auto),
-            other => Err(format!(
-                "unrecognized kernel {other:?}: expected one of \
-                 naive|tiled|blocked|recursive|parallel|auto"
-            )),
+            other => {
+                Err(format!("unrecognized kernel {other:?}: expected one of naive|blocked|auto"))
+            }
         }
     }
 }
 
-/// Resolve the kernel tier from [`KERNEL_ENV`], falling back to
-/// `default`. Malformed values fall back to `default` (matching
-/// `engine_from_env`'s forgiving behavior in `pmm-simnet`).
-pub fn kernel_from_env(default: Kernel) -> Kernel {
+/// Resolve the kernel from [`KERNEL_ENV`]: `default` when the variable
+/// is unset, the parsed kernel when it names one, and an error naming
+/// the accepted values otherwise (a typo must not silently fall back).
+pub fn kernel_from_env(default: Kernel) -> Result<Kernel, String> {
     match std::env::var(KERNEL_ENV) {
-        Ok(s) => s.parse().unwrap_or(default),
-        Err(_) => default,
+        Ok(s) => s.parse().map_err(|e| format!("{KERNEL_ENV}: {e}")),
+        Err(std::env::VarError::NotPresent) => Ok(default),
+        Err(e) => Err(format!("{KERNEL_ENV}: {e}")),
     }
 }
 
@@ -215,12 +169,7 @@ pub fn gemm_acc(c: &mut Matrix, a: &Matrix, b: &Matrix, kernel: Kernel) {
     }
     match kernel.resolve(m, k, n) {
         Kernel::Naive | Kernel::Auto => naive(c, a, b),
-        Kernel::Tiled => tiled(c, a, b),
         Kernel::Blocked => gemm_blocked(c.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n),
-        Kernel::Recursive => {
-            gemm_recursive(c.as_mut_slice(), n, a.as_slice(), k, b.as_slice(), n, m, k, n);
-        }
-        Kernel::Parallel => parallel(c, a, b),
     }
 }
 
@@ -236,56 +185,6 @@ fn naive(c: &mut Matrix, a: &Matrix, b: &Matrix) {
             }
         }
     }
-}
-
-fn tiled(c: &mut Matrix, a: &Matrix, b: &Matrix) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    for i0 in (0..m).step_by(TILE) {
-        let i1 = (i0 + TILE).min(m);
-        tiled_rows(c, a, b, i0, i1, k, n);
-    }
-}
-
-/// One horizontal stripe `[i0, i1)` of the tiled kernel.
-fn tiled_stripe(crows: &mut [f64], a: &Matrix, b: &Matrix, i0: usize, i1: usize) {
-    let (k, n) = (a.cols(), b.cols());
-    let ncols = n;
-    for l0 in (0..k).step_by(TILE) {
-        let l1 = (l0 + TILE).min(k);
-        for j0 in (0..n).step_by(TILE) {
-            let j1 = (j0 + TILE).min(n);
-            for i in i0..i1 {
-                let arow = a.row(i);
-                let crow = &mut crows[(i - i0) * ncols..][..ncols];
-                for (l, &ail) in arow.iter().enumerate().take(l1).skip(l0) {
-                    let brow = b.row(l);
-                    for j in j0..j1 {
-                        crow[j] = madd(ail, brow[j], crow[j]);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn tiled_rows(c: &mut Matrix, a: &Matrix, b: &Matrix, i0: usize, i1: usize, _k: usize, n: usize) {
-    let crows = &mut c.as_mut_slice()[i0 * n..i1 * n];
-    tiled_stripe(crows, a, b, i0, i1);
-}
-
-/// Row-stripe parallel driver: each worker runs the packed blocked kernel
-/// on a disjoint stripe of `C` rows (and the matching rows of `A`), so
-/// per-element accumulation order — and therefore the bitwise result —
-/// is independent of the worker count and schedule.
-fn parallel(c: &mut Matrix, a: &Matrix, b: &Matrix) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let a_slice = a.as_slice();
-    let b_slice = b.as_slice();
-    c.as_mut_slice().par_chunks_mut(STRIPE * n).enumerate().for_each(|(chunk, crows)| {
-        let i0 = chunk * STRIPE;
-        let i1 = (i0 + STRIPE).min(m);
-        gemm_blocked(crows, &a_slice[i0 * k..i1 * k], b_slice, i1 - i0, k, n);
-    });
 }
 
 #[cfg(test)]
@@ -326,7 +225,7 @@ mod tests {
     #[test]
     fn all_tiers_bitwise_identical_on_fractional_matrices() {
         // The stronger guarantee: identical accumulation order makes the
-        // tiers agree bitwise even where f64 arithmetic rounds.
+        // kernels agree bitwise even where f64 arithmetic rounds.
         for (m, k, n, seed) in [
             (130usize, 257usize, 129usize, 1u64),
             (97, 301, 64, 2),
@@ -348,7 +247,7 @@ mod tests {
         let a = random_int_matrix(10, 10, 0..3, 7);
         let b = random_int_matrix(10, 10, 0..3, 8);
         let mut c = Matrix::from_fn(10, 10, |_, _| 1.0);
-        gemm_acc(&mut c, &a, &b, Kernel::Tiled);
+        gemm_acc(&mut c, &a, &b, Kernel::Naive);
         let mut want = reference(&a, &b);
         for x in want.as_mut_slice() {
             *x += 1.0;
@@ -406,24 +305,27 @@ mod tests {
     #[test]
     fn auto_resolves_by_volume() {
         assert_eq!(Kernel::Auto.resolve(8, 8, 8), Kernel::Naive);
-        assert_eq!(Kernel::Auto.resolve(64, 64, 64), Kernel::Tiled);
+        assert_eq!(Kernel::Auto.resolve(31, 31, 31), Kernel::Naive);
+        assert_eq!(Kernel::Auto.resolve(32, 32, 32), Kernel::Blocked);
+        assert_eq!(Kernel::Auto.resolve(64, 64, 64), Kernel::Blocked);
         assert_eq!(Kernel::Auto.resolve(512, 512, 512), Kernel::Blocked);
-        // Non-auto tiers resolve to themselves.
-        assert_eq!(Kernel::Recursive.resolve(8, 8, 8), Kernel::Recursive);
+        // Concrete kernels resolve to themselves.
+        assert_eq!(Kernel::Naive.resolve(512, 512, 512), Kernel::Naive);
     }
 
     #[test]
     fn env_selection_parses_all_names() {
         // `kernel_from_env` itself reads the process environment (covered
         // by the CLI tests); here pin the parser it relies on.
-        for (name, want) in [
-            ("naive", Kernel::Naive),
-            ("BLOCKED", Kernel::Blocked),
-            (" recursive ", Kernel::Recursive),
-            ("rayon", Kernel::Parallel),
-            ("auto", Kernel::Auto),
-        ] {
+        for (name, want) in
+            [("naive", Kernel::Naive), ("BLOCKED", Kernel::Blocked), (" auto ", Kernel::Auto)]
+        {
             assert_eq!(name.parse::<Kernel>(), Ok(want));
+        }
+        // Retired tiers and aliases are errors, not a silent fallback.
+        for name in ["tiled", "recursive", "parallel", "rayon", "micro", ""] {
+            let e = name.parse::<Kernel>().expect_err(name);
+            assert!(e.contains("naive|blocked|auto"), "{e}");
         }
     }
 }

@@ -17,15 +17,16 @@ proptest! {
         let a = random_int_matrix(m, k, -3..4, seed);
         let b = random_int_matrix(k, n, -3..4, seed + 1);
         let naive = gemm(&a, &b, Kernel::Naive);
-        prop_assert_eq!(&naive, &gemm(&a, &b, Kernel::Tiled));
-        prop_assert_eq!(&naive, &gemm(&a, &b, Kernel::Parallel));
+        for kernel in Kernel::ALL {
+            prop_assert_eq!(&naive, &gemm(&a, &b, kernel));
+        }
     }
 
     #[test]
     fn identity_is_neutral((m, _k, n) in dims(), seed in 0u64..1000) {
         let a = random_int_matrix(m, n, -5..6, seed);
-        prop_assert_eq!(&gemm(&a, &identity(n), Kernel::Tiled), &a);
-        prop_assert_eq!(&gemm(&identity(m), &a, Kernel::Tiled), &a);
+        prop_assert_eq!(&gemm(&a, &identity(n), Kernel::Naive), &a);
+        prop_assert_eq!(&gemm(&identity(m), &a, Kernel::Naive), &a);
     }
 
     #[test]
@@ -35,9 +36,9 @@ proptest! {
         let b = random_int_matrix(k, n, -3..4, seed + 1);
         let c = random_int_matrix(k, n, -3..4, seed + 2);
         let bc = Matrix::from_fn(k, n, |r, q| b[(r, q)] + c[(r, q)]);
-        let left = gemm(&a, &bc, Kernel::Tiled);
-        let mut right = gemm(&a, &b, Kernel::Tiled);
-        let ac = gemm(&a, &c, Kernel::Tiled);
+        let left = gemm(&a, &bc, Kernel::Naive);
+        let mut right = gemm(&a, &b, Kernel::Naive);
+        let ac = gemm(&a, &c, Kernel::Naive);
         for (x, y) in right.as_mut_slice().iter_mut().zip(ac.as_slice()) {
             *x += y;
         }
@@ -75,8 +76,8 @@ proptest! {
         let b = random_int_matrix(k, n, -3..4, seed + 1);
         let init = random_int_matrix(m, n, -9..10, seed + 2);
         let mut acc = init.clone();
-        gemm_acc(&mut acc, &a, &b, Kernel::Tiled);
-        let prod = gemm(&a, &b, Kernel::Tiled);
+        gemm_acc(&mut acc, &a, &b, Kernel::Naive);
+        let prod = gemm(&a, &b, Kernel::Naive);
         let want = Matrix::from_fn(m, n, |r, q| init[(r, q)] + prod[(r, q)]);
         prop_assert_eq!(acc, want);
     }
@@ -126,10 +127,10 @@ proptest! {
     }
 }
 
-// ---- kernel-tier bitwise equivalence -----------------------------------
+// ---- kernel bitwise equivalence ----------------------------------------
 //
-// Every tier must produce the *bitwise identical* product to the naive
-// oracle on real floating-point data: all kernels accumulate each C[i][j]
+// Every kernel must produce the *bitwise identical* product to the naive
+// oracle on real floating-point data: both kernels accumulate each C[i][j]
 // over k in increasing order through the shared fused-multiply-add
 // helper, so reassociation never occurs and f64 equality is exact — not
 // merely within tolerance (see docs/PERFORMANCE.md).

@@ -73,8 +73,6 @@ impl std::error::Error for MemoryLimitExceeded {}
 pub struct RecvRequest {
     ctx: u64,
     from: usize,
-    #[allow(dead_code)]
-    comm_size: usize,
     redeemed: bool,
 }
 
@@ -838,7 +836,7 @@ impl Rank {
     pub fn irecv(&mut self, comm: &Comm, from: usize) -> RecvRequest {
         assert!(from < comm.size(), "irecv source out of communicator");
         assert_ne!(from, comm.index(), "irecv from self is not allowed");
-        RecvRequest { ctx: comm.ctx(), from, comm_size: comm.size(), redeemed: false }
+        RecvRequest { ctx: comm.ctx(), from, redeemed: false }
     }
 
     /// Complete a nonblocking receive (see [`Rank::irecv`]).

@@ -46,7 +46,7 @@ fn main() {
     // --- 4. verify correctness against a serial reference --------------------
     let a = random_int_matrix(768, 192, -4..5, 42);
     let b = random_int_matrix(192, 48, -4..5, 43);
-    let want = gemm(&a, &b, Kernel::Tiled);
+    let want = gemm(&a, &b, Kernel::Naive);
     let chunks: Vec<Vec<f64>> = out.values.iter().map(|v| v.c_chunk.clone()).collect();
     let got = assemble_c(dims, choice.grid3(), &chunks);
     assert_eq!(got, want, "distributed result must equal the serial product");

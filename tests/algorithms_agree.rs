@@ -13,7 +13,7 @@ fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
 
 fn reference(dims: MatMulDims) -> Matrix {
     let (a, b) = inputs(dims);
-    gemm(&a, &b, Kernel::Tiled)
+    gemm(&a, &b, Kernel::Naive)
 }
 
 #[test]
@@ -123,7 +123,7 @@ fn kernels_do_not_change_distributed_results() {
     let dims = MatMulDims::new(40, 24, 16);
     let grid = Grid3::new(2, 2, 2);
     let want = reference(dims);
-    for kernel in [Kernel::Naive, Kernel::Tiled, Kernel::Parallel] {
+    for kernel in Kernel::ALL {
         let cfg = Alg1Config { dims, grid, kernel, assembly: Assembly::ReduceScatter };
         let out = World::new(8, MachineParams::BANDWIDTH_ONLY).run(async move |rank| {
             let (a, b) = inputs(dims);

@@ -42,7 +42,7 @@ fn inputs(dims: MatMulDims) -> (Matrix, Matrix) {
 
 fn reference(dims: MatMulDims) -> Matrix {
     let (a, b) = inputs(dims);
-    gemm(&a, &b, Kernel::Tiled)
+    gemm(&a, &b, Kernel::Naive)
 }
 
 /// One sweep point. `interior` is the Theorem 3 case strictly containing
